@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from . import linalg
 from .entropy import (
+    _relative_entropies,
     tsallis_relative_entropy,
     umegaki_relative_entropy,
     von_neumann_entropy,
@@ -281,8 +282,8 @@ def match_q(
     """Smallest q in [0, 1) with deformed measure equal to ``target_er``.
 
     Scans a uniform q-grid for sign changes of g(q) = E_q(sigma) - target
-    and refines the first bracket by bisection to |g| < tol.  All brackets
-    found are reported.
+    and refines the first bracket with Brent's method to machine precision.
+    All brackets found are reported.
     """
     em = mutual_entropy_measure(sigma).value
     if target_er < -1e-12 or target_er > em + 1e-9:
@@ -290,11 +291,13 @@ def match_q(
             f"target {target_er} outside the existence window [0, {em:.6g}]"
         )
 
+    rho, product = sigma.state, reduced_product(sigma)
+
     def g(q):
-        return tsallis_measure(sigma, q).value - target_er
+        return _relative_entropies(rho, product, (q,))[0] - target_er
 
     grid = np.arange(0.0, 1.0, grid_step)
-    vals = [g(q) for q in grid]
+    vals = np.asarray(_relative_entropies(rho, product, grid)) - target_er
     if abs(vals[0]) <= tol:
         return QStarReport(q_star=0.0, residual=abs(vals[0]), brackets=((0.0, 0.0),))
 
@@ -309,19 +312,8 @@ def match_q(
             q_star=q_star, residual=abs(em - target_er), brackets=(), boundary=True
         )
 
-    lo, hi = brackets[0]
-    glo = g(lo)
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        gm = g(mid)
-        if abs(gm) < tol:
-            return QStarReport(q_star=mid, residual=abs(gm), brackets=tuple(brackets))
-        if glo * gm < 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    mid = (lo + hi) / 2
-    return QStarReport(q_star=mid, residual=abs(g(mid)), brackets=tuple(brackets))
+    q_star = brentq(g, *brackets[0], xtol=1e-15)
+    return QStarReport(q_star=q_star, residual=abs(g(q_star)), brackets=tuple(brackets))
 
 
 # --- tensor regrouping -------------------------------------------------------

@@ -1,8 +1,18 @@
 """Deformed logarithms and the entropic functionals.
 
-All logarithms are natural.  The relative entropies return an
-``EntropyValue`` that is +inf exactly when the first argument has weight
-outside the support of the second (support violation).
+All logarithms are natural.  With rho = sum_i p_i |u_i><u_i|,
+sigma = sum_j r_j |v_j><v_j|, P_ij = |<u_i|v_j>|^2 and
+Delta_ij = ln p_i - ln r_j, every relative entropy here comes from the two
+cached spectra by one formula, exact as q -> 1:
+
+    D_q = Tr[rho - rho**q sigma**(1-q)] / (1-q)
+        = sum_ij P_ij p_i expm1((q-1) Delta_ij) / (q-1),   D_1 = sum_ij P_ij p_i Delta_ij.
+
+Conventions: eigenvalues <= ``linalg.SUPPORT_TOL`` are exact zeros, with
+0**q = 0 for q > 0 and M**0 = I (so D_0 = 0).  Columns of sigma outside its
+support take r**(1-q) = 0: their weight m = sum P_ij p_i adds m / (1-q), and
+for q >= 1 a weight above ``SUPPORT_VIOLATION_TOL`` makes the value +inf
+with ``support_violation`` set, the only way a value is infinite.
 """
 
 from __future__ import annotations
@@ -50,8 +60,7 @@ def tsallis_entropy(rho: DensityOperator, q: float) -> float:
     """S_q = -sum_i w_i**q ln_q(w_i) over the spectrum; S_1 is von Neumann."""
     if not 0.0 <= q <= 2.0:
         raise DomainError(f"q must lie in [0, 2], got {q}")
-    w = linalg.eig_hermitian(rho.matrix).eigenvalues
-    w = np.clip(w, 0.0, None)
+    w = rho.spectrum.eigenvalues
     w = w[w > linalg.SUPPORT_TOL]
     if q == 1.0:
         return float(-np.sum(w * np.log(w)))
@@ -63,64 +72,54 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return tsallis_entropy(rho, 1.0)
 
 
-def _check_dims(rho: DensityOperator, sigma: DensityOperator) -> None:
+def _relative_entropies(rho: DensityOperator, sigma: DensityOperator, qs) -> list:
+    """D_q(rho|sigma) for every q in ``qs`` (q = 1: Umegaki), from the cached
+    spectra; +inf marks a support violation."""
+    # eigenvalues are sorted, so each support is a suffix of its spectrum
+    p, U = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
+    r, V = sigma.spectrum.eigenvalues, sigma.spectrum.eigenvectors
+    i, j = (w.searchsorted(linalg.SUPPORT_TOL, "right") for w in (p, r))
+    weight = np.abs(U[:, i:].conj().T @ V) ** 2 * p[i:, None]  # P_ij p_i
+    off_support = float(weight[:, :j].sum())
+    weight = weight[:, j:].ravel()
+    delta = np.subtract.outer(np.log(p[i:]), np.log(r[j:])).ravel()
+    qs = np.asarray(qs, dtype=float)
+    terms = np.expm1(np.multiply.outer(qs - 1.0, delta)) @ weight
+    umegaki = float(weight @ delta)
+    violation = off_support > SUPPORT_VIOLATION_TOL
+    return [
+        0.0 if q == 0.0
+        else math.inf if q >= 1.0 and violation
+        else umegaki if q == 1.0
+        else (term - off_support) / (q - 1.0)
+        for q, term in zip(qs.tolist(), terms.tolist())
+    ]
+
+
+def _entropy_value(rho: DensityOperator, sigma: DensityOperator, q: float):
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"dims differ: {rho.dim} vs {sigma.dim}")
-
-
-def _support_violation(rho: DensityOperator, sigma_support: np.ndarray) -> float:
-    comp = np.eye(rho.dim) - sigma_support
-    return float(np.trace(comp @ rho.matrix).real)
+    value = _relative_entropies(rho, sigma, (q,))[0]
+    return EntropyValue(value, q, support_violation=math.isinf(value))
 
 
 def umegaki_relative_entropy(
     rho: DensityOperator, sigma: DensityOperator
 ) -> EntropyValue:
     """U(rho|sigma) = Tr[rho (ln rho - ln sigma)]."""
-    _check_dims(rho, sigma)
-    log_sigma = linalg.matrix_log(sigma.matrix)
-    if _support_violation(rho, log_sigma.support) > SUPPORT_VIOLATION_TOL:
-        return EntropyValue(math.inf, 1.0, support_violation=True)
-    log_rho = linalg.matrix_log(rho.matrix)
-    value = np.trace(rho.matrix @ (log_rho.value - log_sigma.value)).real
-    return EntropyValue(float(value), 1.0)
+    return _entropy_value(rho, sigma, 1.0)
 
 
 def tsallis_relative_entropy(
     rho: DensityOperator, sigma: DensityOperator, q: float
 ) -> EntropyValue:
-    """D_q(rho|sigma) = Tr[rho - rho**q sigma**(1-q)] / (1-q).
+    """D_q(rho|sigma) = Tr[rho - rho**q sigma**(1-q)] / (1-q), q in [0, 2].
 
-    q = 1 dispatches to the Umegaki relative entropy; q = 0 is identically 0
-    under the M**0 = I convention.  The trace is evaluated in the
-    symmetrized form Tr[sigma**((1-q)/2) rho**q sigma**((1-q)/2)], which is
-    manifestly real and equal by cyclicity.
+    q = 1 is the Umegaki relative entropy (the limit); q = 0 is identically 0.
     """
-    _check_dims(rho, sigma)
     if not 0.0 <= q <= 2.0:
         raise DomainError(f"q must lie in [0, 2], got {q}")
-    if q == 1.0:
-        return umegaki_relative_entropy(rho, sigma)
-    if q == 0.0:
-        return EntropyValue(0.0, 0.0)
-
-    rho_q = linalg.matrix_power_q(rho.matrix, q)
-    half = (1.0 - q) / 2.0
-    if q < 1.0:
-        A = linalg.matrix_power_q(sigma.matrix, half)
-    else:
-        # negative half-power, taken on the support of sigma only
-        spec = linalg.eig_hermitian(sigma.matrix)
-        w = np.clip(spec.eigenvalues, 0.0, None)
-        on = w > linalg.SUPPORT_TOL
-        if _support_violation(rho, (spec.eigenvectors * on.astype(float))
-                              @ spec.eigenvectors.conj().T) > SUPPORT_VIOLATION_TOL:
-            return EntropyValue(math.inf, q, support_violation=True)
-        powers = np.where(on, np.power(np.where(on, w, 1.0), half), 0.0)
-        V = spec.eigenvectors
-        A = (V * powers) @ V.conj().T
-    inner = np.trace(A @ rho_q @ A).real
-    return EntropyValue(float((1.0 - inner) / (1.0 - q)), q)
+    return _entropy_value(rho, sigma, q)
 
 
 def tsallis_relative_entropy_diagonal(p, r, q: float) -> float:

@@ -93,37 +93,36 @@ def eig_hermitian(M, tol: float = HERMITICITY_TOL) -> Spectrum:
     return Spectrum(eigenvalues=w, eigenvectors=_fix_phases(V))
 
 
-def _psd_eigenvalues(spec: Spectrum) -> np.ndarray:
+def psd_spectrum(M) -> Spectrum:
+    """Eigendecomposition of a PSD Hermitian matrix.
+
+    Eigenvalues in (-PSD_CLIP_TOL, 0) are clipped to 0; a more negative one
+    raises NotPSDError.
+    """
+    spec = eig_hermitian(M)
     w = spec.eigenvalues
     if w.size and w[0] < -PSD_CLIP_TOL:
         raise NotPSDError(f"negative eigenvalue {w[0]:.3e}")
-    return np.clip(w, 0.0, None)
-
-
-def apply_spectral(M, f) -> np.ndarray:
-    """f applied to the (clipped) eigenvalues of a PSD Hermitian matrix."""
-    spec = eig_hermitian(M)
-    w = _psd_eigenvalues(spec)
-    V = spec.eigenvectors
-    return (V * f(w)) @ V.conj().T
+    return Spectrum(eigenvalues=np.clip(w, 0.0, None), eigenvectors=spec.eigenvectors)
 
 
 def matrix_power_q(M, q: float) -> np.ndarray:
     """M**q for PSD M and q in [0, 2].
 
-    Conventions: 0**q = 0 for q > 0, and M**0 = I on the full space.
+    Conventions: eigenvalues <= SUPPORT_TOL are exact zeros and 0**q = 0 for
+    q > 0; M**0 = I on the full space.
     """
     if not 0.0 <= q <= 2.0:
         raise ValueError(f"q must lie in [0, 2], got {q}")
     M = as_complex_matrix(M)
+    spec = psd_spectrum(M)  # validates PSD even where the result ignores it
     if q == 0.0:
-        # validate PSD even though the result is the identity
-        _psd_eigenvalues(eig_hermitian(M))
         return np.eye(M.shape[0], dtype=complex)
     if q == 1.0:
-        _psd_eigenvalues(eig_hermitian(M))
         return M.copy()
-    return apply_spectral(M, lambda w: np.power(w, q))
+    w, V = spec.eigenvalues, spec.eigenvectors
+    powers = np.where(w > SUPPORT_TOL, np.power(w, q), 0.0)
+    return (V * powers) @ V.conj().T
 
 
 def matrix_log(M) -> MatrixLog:
@@ -132,8 +131,8 @@ def matrix_log(M) -> MatrixLog:
     Eigenvalues <= SUPPORT_TOL are treated as exact zeros: they do not
     enter the log and are excluded from the support projector.
     """
-    spec = eig_hermitian(M)
-    w = _psd_eigenvalues(spec)
+    spec = psd_spectrum(M)
+    w = spec.eigenvalues
     on_support = w > SUPPORT_TOL
     logs = np.where(on_support, np.log(np.where(on_support, w, 1.0)), 0.0)
     V = spec.eigenvectors

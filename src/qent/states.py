@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,16 +20,35 @@ DENSITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, PSD, unit-trace complex matrix."""
+    """Hermitian, PSD, unit-trace complex matrix.
+
+    ``matrix`` is a read-only copy of the input, so the spectrum computed
+    from it on first use stays valid for the life of the object.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", linalg.as_complex_matrix(self.matrix))
+        M = linalg.as_complex_matrix(self.matrix).copy()
+        M.flags.writeable = False
+        object.__setattr__(self, "matrix", M)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def spectrum(self) -> linalg.Spectrum:
+        """Validated eigendecomposition (see ``linalg.psd_spectrum``).
+
+        Raises NotHermitianError or NotPSDError on every access for an
+        invalid matrix, since a failed computation is not cached.  Its
+        arrays are read-only because every caller shares them.
+        """
+        spec = linalg.psd_spectrum(self.matrix)
+        spec.eigenvalues.flags.writeable = False
+        spec.eigenvectors.flags.writeable = False
+        return spec
 
 
 @dataclass(frozen=True)
@@ -52,6 +72,13 @@ class BipartiteState:
     def reduction(self, keep: str) -> DensityOperator:
         red = linalg.partial_trace(self.matrix, self.dA, self.dB, keep=keep)
         return DensityOperator(red)
+
+    @cached_property
+    def product(self) -> DensityOperator:
+        """Tensor product of the two reductions, computed on first use."""
+        return DensityOperator(
+            linalg.kron(self.reduction("A").matrix, self.reduction("B").matrix)
+        )
 
 
 @dataclass(frozen=True)
@@ -102,13 +129,18 @@ def bell_state(kind: str) -> BipartiteState:
     return BipartiteState(density_from_pure(bell_vector(kind)), 2, 2)
 
 
+_BELL_PROJECTORS = {
+    kind: density_from_pure(v).matrix for kind, v in _BELL_VECTORS.items()
+}
+
+
 def werner_state(F: float) -> BipartiteState:
     """F on the singlet, (1-F)/3 on each of the other three Bell projectors."""
     if not 0.0 <= F <= 1.0:
         raise OutOfRangeError(f"F must lie in [0, 1], got {F}")
-    M = F * density_from_pure(bell_vector("psi-")).matrix
+    M = F * _BELL_PROJECTORS["psi-"]
     for kind in ("psi+", "phi-", "phi+"):
-        M = M + (1.0 - F) / 3.0 * density_from_pure(bell_vector(kind)).matrix
+        M = M + (1.0 - F) / 3.0 * _BELL_PROJECTORS[kind]
     return BipartiteState(DensityOperator(M), 2, 2)
 
 
@@ -136,10 +168,9 @@ def random_bipartite(dA: int, dB: int, seed: int) -> BipartiteState:
 
 
 def reduced_product(sigma: BipartiteState) -> DensityOperator:
-    """Tensor product of the two reductions of a bipartite state."""
-    rho1 = sigma.reduction("A").matrix
-    rho2 = sigma.reduction("B").matrix
-    return DensityOperator(linalg.kron(rho1, rho2))
+    """Tensor product of the two reductions of a bipartite state (cached on
+    the state)."""
+    return sigma.product
 
 
 # --- state file format -----------------------------------------------------

@@ -5,9 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .entanglement import mutual_entropy_measure
 from .errors import OutOfRangeError
-from .states import werner_state
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,13 @@ def werner_tsallis_closed(F: float, q: float) -> float:
 
 
 def werner_mutual(F: float) -> float:
-    """Mutual-entropy measure of W_F via the matrix path."""
-    return mutual_entropy_measure(werner_state(F)).value
+    """Mutual-entropy measure of W_F: U(W_F | I/4), from the spectrum
+    {F, (1-F)/3 x3} as 2 ln 2 + F ln F + (1-F) ln((1-F)/3), with 0 ln 0 = 0."""
+    if not 0.0 <= F <= 1.0:
+        raise OutOfRangeError(f"F must lie in [0, 1], got {F}")
+    singlet = F * math.log(F) if F > 0.0 else 0.0
+    rest = (1.0 - F) * math.log((1.0 - F) / 3.0) if F < 1.0 else 0.0
+    return 2.0 * math.log(2.0) + singlet + rest
 
 
 def _refine_crossing(lo: float, hi: float, q: float, width: float = 1e-6) -> float:

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qent import entanglement, linalg, states
 from qent.entanglement import OptimizerOptions
 from qent.errors import NoRootError, NotPureError
-from qent.werner import werner_er_closed
+from qent.werner import werner_er_closed, werner_tsallis_closed
 
 
 def product_state(seed):
@@ -138,6 +139,17 @@ class TestMatchQ:
         report = entanglement.match_q(sigma, em)
         assert report.boundary
         assert report.q_star > 0.99
+
+    @pytest.mark.parametrize("F", [0.6, 0.75, 0.9, 1.0])
+    def test_matches_closed_form_root(self, F):
+        # at F = 1 the only sign change is the jump of D_q at q = 0+ for the
+        # pure singlet (D_0 = 0, D_0+ = 3/4 > ln 2), so both paths give q* ~ 0
+        target = werner_er_closed(F)
+        report = entanglement.match_q(states.werner_state(F), target)
+        lo, hi = report.brackets[0]
+        root = brentq(lambda q: werner_tsallis_closed(F, q) - target, lo, hi, xtol=1e-15)
+        assert abs(report.q_star - root) <= 1e-10
+        assert not report.boundary
 
     def test_target_above_mutual(self):
         with pytest.raises(NoRootError):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from qent import entropy, states
-from qent.errors import DimensionMismatchError, DomainError
+from qent.errors import (
+    DimensionMismatchError,
+    DomainError,
+    NotHermitianError,
+    NotPSDError,
+)
 
 
 def diag_state(*vals):
@@ -138,3 +143,60 @@ class TestTsallisRelativeEntropy:
             matrix = entropy.tsallis_relative_entropy(rho, sigma, q).value
             scalar = entropy.tsallis_relative_entropy_diagonal(p, r, q)
             assert matrix == pytest.approx(scalar, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [0.05, 0.1, 0.5])
+    def test_pure_state_against_maximally_mixed(self, q):
+        # D_q(psi | I/4) = (1 - 4**(q-1)) / (1-q): the three zero eigenvalues
+        # of psi, at rounding level numerically, must contribute nothing
+        sigma = states.DensityOperator(np.eye(4) / 4)
+        expected = (1 - 4 ** (q - 1)) / (1 - q)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            psi = states.density_from_pure(v)
+            value = entropy.tsallis_relative_entropy(psi, sigma, q).value
+            assert abs(value - expected) <= 1e-12, seed
+
+    @pytest.mark.parametrize("step", [1e-12, -1e-12, 1e-14, -1e-14])
+    def test_approach_to_q_one(self, step):
+        for dim in (2, 3, 4):
+            rho = states.random_density(dim, 100 + dim)
+            sigma = states.random_density(dim, 200 + dim)
+            u = entropy.umegaki_relative_entropy(rho, sigma).value
+            d = entropy.tsallis_relative_entropy(rho, sigma, 1.0 + step).value
+            assert abs(d - u) <= 1e-9, dim
+
+
+class TestCachedSpectrum:
+    def test_input_array_is_copied(self):
+        original = states.random_density(3, 1)
+        sigma = states.random_density(3, 2)
+        M = original.matrix.copy()
+        rho = states.DensityOperator(M)
+        M[:] = np.eye(3) / 3  # before the spectrum is computed
+        first = entropy.tsallis_relative_entropy(rho, sigma, 0.4).value
+        M[:] = np.diag([1.0, 0.0, 0.0])  # and after
+        assert entropy.tsallis_relative_entropy(rho, sigma, 0.4).value == first
+        assert first == entropy.tsallis_relative_entropy(original, sigma, 0.4).value
+
+    def test_matrix_and_spectrum_are_read_only(self):
+        rho = states.random_density(2, 3)
+        for array in (rho.matrix, rho.spectrum.eigenvalues, rho.spectrum.eigenvectors):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "M, error",
+        [
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitianError),
+            (np.diag([1.5, -0.5]), NotPSDError),
+        ],
+    )
+    def test_invalid_input_raises_on_every_call(self, M, error):
+        bad = states.DensityOperator(M)
+        good = diag_state(0.5, 0.5)
+        for _ in range(2):
+            with pytest.raises(error):
+                entropy.tsallis_relative_entropy(bad, good, 0.5)
+            with pytest.raises(error):
+                entropy.umegaki_relative_entropy(good, bad)

@@ -61,6 +61,15 @@ class TestMatrixPowerQ:
         out = linalg.matrix_power_q(np.diag([0.0, 1.0]), 0.5)
         assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-14)
 
+    @pytest.mark.parametrize("q", [0.05, 0.5])
+    def test_rounding_level_eigenvalues_are_zeros(self, q):
+        # a random pure state has three eigenvalues at rounding level, which
+        # must not be raised to the power q
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        P = np.outer(v, v.conj()) / np.vdot(v, v).real
+        assert np.max(np.abs(linalg.matrix_power_q(P, q) - P)) < 1e-12
+
     def test_q_one_identity_map(self):
         M = np.diag([0.1, 0.9]).astype(complex)
         assert np.max(np.abs(linalg.matrix_power_q(M, 1.0) - M)) < 1e-12

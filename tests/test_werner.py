@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qent import werner
-from qent.entanglement import tsallis_measure
+from qent.entanglement import mutual_entropy_measure, tsallis_measure
 from qent.errors import OutOfRangeError
-from qent.states import werner_state
+from qent.states import bell_vector, werner_state
 
 
 class TestErClosed:
@@ -54,6 +54,29 @@ class TestTsallisClosed:
     def test_q_one_rejected(self):
         with pytest.raises(OutOfRangeError):
             werner.werner_tsallis_closed(0.5, 1.0)
+
+
+class TestMutualClosed:
+    @pytest.mark.parametrize("F", [0.0, 0.25, 0.5, 0.9, 1.0])
+    def test_matches_matrix_path(self, F):
+        matrix = mutual_entropy_measure(werner_state(F)).value
+        assert abs(werner.werner_mutual(F) - matrix) <= 1e-12
+
+    def test_out_of_range(self):
+        with pytest.raises(OutOfRangeError):
+            werner.werner_mutual(1.5)
+
+
+@pytest.mark.parametrize("F", [0.0, 0.3, 0.9, 1.0])
+def test_werner_state_is_the_projector_sum(F):
+    def projector(kind):
+        v = bell_vector(kind)
+        return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+    M = F * projector("psi-")
+    for kind in ("psi+", "phi-", "phi+"):
+        M = M + (1.0 - F) / 3.0 * projector(kind)
+    assert np.array_equal(werner_state(F).matrix, M)
 
 
 class TestSweep:
