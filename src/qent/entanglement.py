@@ -282,8 +282,10 @@ def match_q(
     """Smallest q in [0, 1) with deformed measure equal to ``target_er``.
 
     Scans a uniform q-grid for sign changes of g(q) = E_q(sigma) - target
-    and refines the first bracket with Brent's method to machine precision.
-    All brackets found are reported.
+    and refines the brackets in order with Brent's method to machine
+    precision, returning the first root whose residual is within ``tol``.
+    All brackets found are reported.  Raises NoRootError when no bracket
+    holds such a root (every sign change is a jump of E_q).
     """
     em = mutual_entropy_measure(sigma).value
     if target_er < -1e-12 or target_er > em + 1e-9:
@@ -312,8 +314,19 @@ def match_q(
             q_star=q_star, residual=abs(em - target_er), brackets=(), boundary=True
         )
 
-    q_star = brentq(g, *brackets[0], xtol=1e-15)
-    return QStarReport(q_star=q_star, residual=abs(g(q_star)), brackets=tuple(brackets))
+    # a sign change can also be a jump of E_q (at q = 0+ for a rank-deficient
+    # sigma), where Brent converges to the jump with a large residual
+    for lo, hi in brackets:
+        q_star = brentq(g, lo, hi, xtol=1e-15)
+        residual = abs(g(q_star))
+        if residual <= tol:
+            return QStarReport(
+                q_star=q_star, residual=residual, brackets=tuple(brackets)
+            )
+    raise NoRootError(
+        f"no root of E_q = {target_er:.6g} in [0, 1): every sign change is a "
+        f"discontinuity of E_q (Brent residual > tol {tol:g} in {brackets})"
+    )
 
 
 # --- tensor regrouping -------------------------------------------------------

@@ -13,11 +13,16 @@ Conventions: eigenvalues <= ``linalg.SUPPORT_TOL`` are exact zeros, with
 support take r**(1-q) = 0: their weight m = sum P_ij p_i adds m / (1-q), and
 for q >= 1 a weight above ``SUPPORT_VIOLATION_TOL`` makes the value +inf
 with ``support_violation`` set, the only way a value is infinite.
+
+The q-independent terms of a pair are computed once and kept on rho for the
+last sigma it was paired with (one entry, weakly referencing sigma), so a
+q grid evaluated one q per call builds them once.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +77,13 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return tsallis_entropy(rho, 1.0)
 
 
-def _relative_entropies(rho: DensityOperator, sigma: DensityOperator, qs) -> list:
-    """D_q(rho|sigma) for every q in ``qs`` (q = 1: Umegaki), from the cached
-    spectra; +inf marks a support violation."""
+def _pair_terms(rho: DensityOperator, sigma: DensityOperator) -> tuple:
+    """The q-independent terms of D_q(rho|sigma) from the cached spectra:
+    (weight P_ij p_i, delta Delta_ij, off-support weight, Umegaki value,
+    support violation), remembered on rho for the last sigma it met."""
+    memo = rho.__dict__.get("_pair_memo")
+    if memo is not None and memo[0]() is sigma:
+        return memo[1]
     # eigenvalues are sorted, so each support is a suffix of its spectrum
     p, U = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
     r, V = sigma.spectrum.eigenvalues, sigma.spectrum.eigenvectors
@@ -83,10 +92,21 @@ def _relative_entropies(rho: DensityOperator, sigma: DensityOperator, qs) -> lis
     off_support = float(weight[:, :j].sum())
     weight = weight[:, j:].ravel()
     delta = np.subtract.outer(np.log(p[i:]), np.log(r[j:])).ravel()
+    terms = (
+        weight, delta, off_support, float(weight @ delta),
+        off_support > SUPPORT_VIOLATION_TOL,
+    )
+    # weak, so that a chain D(x_k|x_k+1) does not keep every x_k alive
+    rho.__dict__["_pair_memo"] = (weakref.ref(sigma), terms)
+    return terms
+
+
+def _relative_entropies(rho: DensityOperator, sigma: DensityOperator, qs) -> list:
+    """D_q(rho|sigma) for every q in ``qs`` (q = 1: Umegaki); +inf marks a
+    support violation."""
+    weight, delta, off_support, umegaki, violation = _pair_terms(rho, sigma)
     qs = np.asarray(qs, dtype=float)
     terms = np.expm1(np.multiply.outer(qs - 1.0, delta)) @ weight
-    umegaki = float(weight @ delta)
-    violation = off_support > SUPPORT_VIOLATION_TOL
     return [
         0.0 if q == 0.0
         else math.inf if q >= 1.0 and violation

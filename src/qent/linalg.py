@@ -70,14 +70,11 @@ def frobenius_norm(M: np.ndarray) -> float:
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
     """Rotate each column so its first nonzero component is real positive."""
-    V = V.copy()
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            pivot = col[nz[0]]
-            V[:, k] = col * (np.conj(pivot) / np.abs(pivot))
-    return V
+    nonzero = np.abs(V) > 1e-12
+    pivot = V[nonzero.argmax(0), np.arange(V.shape[1])]
+    # a column with no component above 1e-12 keeps its phase (pivot 1)
+    pivot = np.where(nonzero.any(0), pivot, 1.0)
+    return V * (np.conj(pivot) / np.abs(pivot))
 
 
 def eig_hermitian(M, tol: float = HERMITICITY_TOL) -> Spectrum:

@@ -50,6 +50,10 @@ class DensityOperator:
         spec.eigenvectors.flags.writeable = False
         return spec
 
+    def __getstate__(self):
+        # entropy._pair_terms keeps a weakly keyed memo here; weakrefs do not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "_pair_memo"}
+
 
 @dataclass(frozen=True)
 class BipartiteState:

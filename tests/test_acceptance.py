@@ -59,6 +59,7 @@ def test_acceptance_3_closed_form_vs_matrix():
     assert ok
 
 
+@pytest.mark.slow
 def test_acceptance_4_optimizer_fidelity():
     worst = 0.0
     worst_time = 0.0

@@ -88,6 +88,7 @@ class TestTsallisMeasure:
         assert a == b
 
 
+@pytest.mark.slow
 class TestSeparableOptimizer:
     light = OptimizerOptions(seed=3, restarts=2, explore_runs=1, polish_runs=30)
 
@@ -143,8 +144,15 @@ class TestMatchQ:
     @pytest.mark.parametrize("F", [0.6, 0.75, 0.9, 1.0])
     def test_matches_closed_form_root(self, F):
         # at F = 1 the only sign change is the jump of D_q at q = 0+ for the
-        # pure singlet (D_0 = 0, D_0+ = 3/4 > ln 2), so both paths give q* ~ 0
+        # pure singlet (D_0 = 0, D_0+ = 3/4 > ln 2): the closed form
+        # (1 - 4**(q-1))/(1-q) stays above ln 2 on all of (0, 1), so no root
         target = werner_er_closed(F)
+        if F == 1.0:
+            qs = np.linspace(1e-9, 1.0 - 1e-9, 1001)
+            assert min(werner_tsallis_closed(F, q) for q in qs) > target
+            with pytest.raises(NoRootError, match="discontinuity"):
+                entanglement.match_q(states.werner_state(F), target)
+            return
         report = entanglement.match_q(states.werner_state(F), target)
         lo, hi = report.brackets[0]
         root = brentq(lambda q: werner_tsallis_closed(F, q) - target, lo, hi, xtol=1e-15)

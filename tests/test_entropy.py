@@ -1,4 +1,8 @@
+import copy
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -200,3 +204,62 @@ class TestCachedSpectrum:
                 entropy.tsallis_relative_entropy(bad, good, 0.5)
             with pytest.raises(error):
                 entropy.umegaki_relative_entropy(good, bad)
+
+
+class TestPairMemo:
+    """entropy keeps one pair's q-independent terms on rho; it must not show."""
+
+    @staticmethod
+    def fresh(rho, sigma, q):
+        return entropy.tsallis_relative_entropy(
+            states.DensityOperator(rho.matrix), states.DensityOperator(sigma.matrix), q
+        ).value
+
+    @pytest.mark.parametrize(
+        "rho, sigma, violation",
+        [
+            (states.density_from_pure([1, 2j, -1]), states.random_density(3, 5), False),
+            (states.random_density(2, 6), diag_state(1.0, 0.0), True),
+        ],
+    )
+    def test_hit_equals_fresh_value(self, rho, sigma, violation):
+        entropy.tsallis_relative_entropy(rho, sigma, 0.5)
+        for q in (0.0, 0.3, 1.0, 1.7):
+            assert rho.__dict__["_pair_memo"][0]() is sigma
+            value = entropy.tsallis_relative_entropy(rho, sigma, q).value
+            assert value == self.fresh(rho, sigma, q)
+            assert math.isinf(value) == (violation and q >= 1.0)
+
+    def test_alternating_sigmas(self):
+        rho = states.random_density(3, 7)
+        sigma1, sigma2 = states.random_density(3, 8), states.random_density(3, 9)
+        for sigma in (sigma1, sigma2, sigma1):
+            for q in (0.3, 1.7):
+                value = entropy.tsallis_relative_entropy(rho, sigma, q).value
+                assert value == self.fresh(rho, sigma, q)
+
+    def test_sigma_not_kept_alive(self):
+        rho, sigma = states.random_density(2, 10), states.random_density(2, 11)
+        entropy.tsallis_relative_entropy(rho, sigma, 0.5)
+        ref = weakref.ref(sigma)
+        del sigma
+        gc.collect()
+        assert ref() is None
+
+    def test_failed_call_stores_nothing(self):
+        rho, good = states.random_density(2, 12), diag_state(0.5, 0.5)
+        bad = states.DensityOperator(np.diag([1.5, -0.5]))
+        for _ in range(2):
+            with pytest.raises(NotPSDError):
+                entropy.tsallis_relative_entropy(rho, bad, 0.5)
+            assert "_pair_memo" not in rho.__dict__
+        entropy.tsallis_relative_entropy(rho, good, 0.5)
+        with pytest.raises(NotPSDError):
+            entropy.umegaki_relative_entropy(rho, bad)
+        assert rho.__dict__["_pair_memo"][0]() is good
+
+    def test_pickle_and_deepcopy_after_a_call(self):
+        rho, sigma = states.random_density(3, 13), states.random_density(3, 14)
+        value = entropy.tsallis_relative_entropy(rho, sigma, 0.4).value
+        for restored in (pickle.loads(pickle.dumps((rho, sigma))), copy.deepcopy((rho, sigma))):
+            assert entropy.tsallis_relative_entropy(*restored, 0.4).value == value

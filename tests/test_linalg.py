@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,3 +158,34 @@ class TestKronPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             linalg.partial_trace(np.eye(5), 2, 2, "A")
+
+
+def _fix_phases_loop(V):
+    """The column-by-column phase fix that ``linalg._fix_phases`` replaces."""
+    V = V.copy()
+    for k in range(V.shape[1]):
+        col = V[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size:
+            pivot = col[nz[0]]
+            V[:, k] = col * (np.conj(pivot) / np.abs(pivot))
+    return V
+
+
+class TestFixPhases:
+    def test_bit_identical_to_loop(self):
+        for seed in range(1600):
+            dim = 1 + seed % 16
+            M = rand_hermitian(dim, seed)
+            if seed % 3 == 0:  # eigenvectors with leading zero components
+                M = np.diag(np.diag(M).real)
+            _, V = np.linalg.eigh(M)
+            assert np.array_equal(linalg._fix_phases(V), _fix_phases_loop(V)), seed
+
+    def test_zero_column_unchanged_without_warning(self):
+        V = np.zeros((3, 2), dtype=complex)
+        V[1, 1] = -1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fixed = linalg._fix_phases(V)
+        assert np.array_equal(fixed, [[0, 0], [0, 1], [0, 0]])

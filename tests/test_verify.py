@@ -34,6 +34,7 @@ def test_suite_passes(name):
     assert res.worst_slack >= 0
 
 
+@pytest.mark.slow
 def test_ordering_suite_passes():
     (res,) = verify.run_suites(["ordering"], trials=2, base_seed=0)
     assert res.passed
@@ -76,6 +77,7 @@ def test_tol_override_trips_failures():
     assert not res.passed
 
 
+@pytest.mark.slow
 def test_expensive_suite_capped():
     (res,) = verify.run_suites(["ordering"], trials=50, base_seed=0)
     assert res.trials <= 2
