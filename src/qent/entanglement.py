@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeResult, brentq, minimize
+from scipy.optimize import brentq, minimize
 
 from . import linalg
 from .entropy import (
@@ -107,26 +107,23 @@ class OptimizerOptions:
     n_terms: int | None = None  # defaults to (dA*dB)**2
 
 
-def _unit_rows(parts: np.ndarray, d: int) -> np.ndarray:
-    """Complex rows of length d from stacked [real, imaginary] parts of shape
-    (..., 2, n*d), each scaled to unit norm (a zero row is left as it is)."""
-    M = (parts[..., 0, :] + 1j * parts[..., 1, :]).reshape(*parts.shape[:-2], -1, d)
-    # np.linalg.norm(M, axis=-1), without its dispatch
-    norms = np.sqrt(np.add.reduce((M.conj() * M).real, axis=-1))
-    norms[norms == 0] = 1.0
-    return M / norms[..., None]
-
-
 def _unpack(x: np.ndarray, n: int, dA: int, dB: int):
     w2 = x[:n] ** 2
     total = w2.sum()
     weights = w2 / total if total > 0 else np.full(n, 1.0 / n)
-    if dA == dB:  # both factors in one pass
-        A, B = _unit_rows(x[n:].reshape(2, 2, -1), dA)
-    else:
-        A = _unit_rows(x[n : n + 2 * n * dA].reshape(2, -1), dA)
-        B = _unit_rows(x[n + 2 * n * dA :].reshape(2, -1), dB)
-    return weights, A, B
+    off = n
+    A = (x[off : off + n * dA] + 1j * x[off + n * dA : off + 2 * n * dA]).reshape(
+        n, dA
+    )
+    off += 2 * n * dA
+    B = (x[off : off + n * dB] + 1j * x[off + n * dB : off + 2 * n * dB]).reshape(
+        n, dB
+    )
+    normA = np.linalg.norm(A, axis=1)
+    normB = np.linalg.norm(B, axis=1)
+    normA[normA == 0] = 1.0
+    normB[normB == 0] = 1.0
+    return weights, A / normA[:, None], B / normB[:, None]
 
 
 def _decomposition_from_params(x, n, dA, dB) -> SeparableDecomposition:
@@ -177,80 +174,14 @@ def _initial_points(sigma: BipartiteState, n: int, opts: OptimizerOptions):
     return points
 
 
-def _nelder_mead(fun, x0, args=(), *, maxiter, xatol, fatol, **_):
-    """scipy's ``method="Nelder-Mead"`` with ``adaptive=True`` (Gao & Han
-    2012), step for step, as a ``minimize`` method: the same simplices,
-    values and iteration counts (a test compares the two).
-
-    It leaves out what scipy spends on every iteration beyond the steps:
-    the test over the whole simplex against ``xatol`` runs only once the
-    ``fatol`` test holds, and no callback result is built.
-    """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    N = len(x0)
-    rho, chi, psi, sigma = 1, 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
-    sim = np.empty((N + 1, N))
-    sim[0] = sim[1:] = x0
-    sim[1:][np.diag_indices(N)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        nfev += 1
-        return fun(x, *args)
-
-    fsim = np.array([f(x) for x in sim], dtype=float)
-    for _ in range(2):  # scipy sorts twice before its first step
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    iterations = 1
-    while iterations < maxiter:
-        # fsim is sorted, so its spread is max |fsim[0] - fsim[j]|
-        if (abs(fsim[-1] - fsim[0]) <= fatol
-                and np.max(np.abs(sim[1:] - sim[0])) <= xatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = f(xc)
-                shrink = not fxc <= fxr
-            else:  # inside contraction
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = f(xc)
-                shrink = not fxc < fsim[-1]
-            if shrink:
-                for j in range(1, N + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-            else:
-                sim[-1], fsim[-1] = xc, fxc
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-
-    return OptimizeResult(
-        x=sim[0], fun=np.min(fsim), nit=iterations, nfev=nfev,
-        success=iterations < maxiter,
-    )
-
-
 def _simplex_run(fun, x0, opts: OptimizerOptions):
     res = minimize(
         fun,
         x0,
-        method=_nelder_mead,
+        method="Nelder-Mead",
         options={
             "maxiter": opts.max_iter,
+            "adaptive": True,
             "fatol": opts.stall_tol,
             "xatol": 1e-9,
         },
@@ -304,7 +235,7 @@ def relative_entropy_of_entanglement(
         vecs = np.einsum("na,nb->nab", A, B).reshape(n, D)
         kappa = (vecs.T * w) @ vecs.conj()
         lam, U = np.linalg.eigh((kappa + kappa.conj().T) / 2)
-        lam = np.maximum(lam, 1e-18)  # rank deficiency self-penalizes
+        lam = np.clip(lam, 1e-18, None)  # rank deficiency self-penalizes
         proj = np.einsum("ij,jk,ki->i", U.conj().T, S, U).real
         return s0 - float(np.dot(proj, np.log(lam)))
 

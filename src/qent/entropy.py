@@ -15,14 +15,14 @@ for q >= 1 a weight above ``SUPPORT_VIOLATION_TOL`` makes the value +inf
 with ``support_violation`` set, the only way a value is infinite.
 
 The q-independent terms of a pair are computed once and kept on rho for the
-last sigma it was paired with (one entry, weakly referencing sigma), so a
-q grid evaluated one q per call builds them once.
+last sigma it was paired with (``DensityOperator._paired``: one entry,
+weakly referencing sigma), so a q grid evaluated one q per call builds them
+once.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +80,7 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 def _pair_terms(rho: DensityOperator, sigma: DensityOperator) -> tuple:
     """The q-independent terms of D_q(rho|sigma) from the cached spectra:
     (weight P_ij p_i, delta Delta_ij, off-support weight, Umegaki value,
-    support violation), remembered on rho for the last sigma it met."""
-    memo = rho.__dict__.get("_pair_memo")
-    if memo is not None and memo[0]() is sigma:
-        return memo[1]
+    support violation)."""
     # eigenvalues are sorted, so each support is a suffix of its spectrum
     p, U = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
     r, V = sigma.spectrum.eigenvalues, sigma.spectrum.eigenvectors
@@ -92,19 +89,16 @@ def _pair_terms(rho: DensityOperator, sigma: DensityOperator) -> tuple:
     off_support = float(weight[:, :j].sum())
     weight = weight[:, j:].ravel()
     delta = np.subtract.outer(np.log(p[i:]), np.log(r[j:])).ravel()
-    terms = (
+    return (
         weight, delta, off_support, float(weight @ delta),
         off_support > SUPPORT_VIOLATION_TOL,
     )
-    # weak, so that a chain D(x_k|x_k+1) does not keep every x_k alive
-    rho.__dict__["_pair_memo"] = (weakref.ref(sigma), terms)
-    return terms
 
 
 def _relative_entropies(rho: DensityOperator, sigma: DensityOperator, qs) -> list:
     """D_q(rho|sigma) for every q in ``qs`` (q = 1: Umegaki); +inf marks a
     support violation."""
-    weight, delta, off_support, umegaki, violation = _pair_terms(rho, sigma)
+    weight, delta, off_support, umegaki, violation = rho._paired(sigma, _pair_terms)
     qs = np.asarray(qs, dtype=float)
     terms = np.expm1(np.multiply.outer(qs - 1.0, delta)) @ weight
     return [

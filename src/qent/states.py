@@ -7,6 +7,7 @@ the numeric matrix of the Werner family bit-exactly.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,8 +51,23 @@ class DensityOperator:
         spec.eigenvectors.flags.writeable = False
         return spec
 
+    def _paired(self, other: DensityOperator, build):
+        """``build(self, other)``, remembered for the last ``other`` only.
+
+        The entry holds ``other`` by a weak reference, so it never keeps
+        ``other`` alive, and it is a hit only for that very object: sound
+        because both operators are immutable.  A build that raises stores
+        nothing.
+        """
+        memo = self.__dict__.get("_pair_memo")
+        if memo is not None and memo[0]() is other:
+            return memo[1]
+        value = build(self, other)
+        self.__dict__["_pair_memo"] = (weakref.ref(other), value)
+        return value
+
     def __getstate__(self):
-        # entropy._pair_terms keeps a weakly keyed memo here; weakrefs do not pickle
+        # weakrefs do not pickle, and the memo is cheap to rebuild
         return {k: v for k, v in self.__dict__.items() if k != "_pair_memo"}
 
 

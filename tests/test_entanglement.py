@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from qent import entanglement, linalg, states
 from qent.entanglement import OptimizerOptions
@@ -86,64 +86,6 @@ class TestTsallisMeasure:
         a = entanglement.tsallis_measure(sigma, 1.0).value
         b = entanglement.mutual_entropy_measure(sigma).value
         assert a == b
-
-
-def _rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
-
-
-def _rounded_bowl(x):
-    # rounding makes many vertices tie, which exercises the order of the sort
-    return float(np.round(x @ x, 2))
-
-
-class TestNelderMead:
-    @pytest.mark.parametrize("fun", [_rosenbrock, _rounded_bowl])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_same_steps_as_scipy(self, fun, seed):
-        x0 = np.random.default_rng(seed).standard_normal(3 + 2 * seed)
-        x0[0] = 0.0  # a zero coordinate takes the other initial step
-        opts = {"maxiter": 3000, "fatol": 1e-8, "xatol": 1e-9}
-        ref = minimize(
-            fun, x0, method="Nelder-Mead", options={**opts, "adaptive": True}
-        )
-        res = minimize(fun, x0, method=entanglement._nelder_mead, options=opts)
-        assert np.array_equal(res.x, ref.x)
-        assert (res.fun, res.nit, res.nfev) == (ref.fun, ref.nit, ref.nfev)
-
-    def test_er_optimizer_matches_scipy_nelder_mead(self, monkeypatch):
-        opts = OptimizerOptions(
-            seed=2, restarts=2, explore_runs=1, polish_runs=2, max_iter=300,
-            stall_tol=1e3, n_terms=4,
-        )
-        sigma = states.werner_state(0.8)
-        ours = entanglement.relative_entropy_of_entanglement(sigma, opts)
-
-        def scipy_minimize(fun, x0, method, options):
-            return minimize(
-                fun, x0, method="Nelder-Mead", options={**options, "adaptive": True}
-            )
-
-        monkeypatch.setattr(entanglement, "minimize", scipy_minimize)
-        ref = entanglement.relative_entropy_of_entanglement(sigma, opts)
-        assert (ours.value, ours.iterations) == (ref.value, ref.iterations)
-        for name in ("weights", "factorsA", "factorsB"):
-            assert np.array_equal(
-                getattr(ours.optimizer_state, name), getattr(ref.optimizer_state, name)
-            )
-
-    @pytest.mark.parametrize("n, dA, dB", [(16, 2, 2), (10, 2, 3)])
-    def test_unpack_rows_match_linalg_norm(self, n, dA, dB):
-        x = np.random.default_rng(n).standard_normal(n * (1 + 2 * dA + 2 * dB))
-        x[[n, n + 1, n + n * dA, n + n * dA + 1]] = 0.0  # the first row of A is zero
-        weights, A, B = entanglement._unpack(x, n, dA, dB)
-        for M, off, d in ((A, n, dA), (B, n + 2 * n * dA, dB)):
-            raw = x[off : off + n * d] + 1j * x[off + n * d : off + 2 * n * d]
-            raw = raw.reshape(n, d)
-            norms = np.linalg.norm(raw, axis=1)
-            norms[norms == 0] = 1.0
-            assert np.array_equal(M, raw / norms[:, None])
-        assert np.array_equal(weights, x[:n] ** 2 / (x[:n] ** 2).sum())
 
 
 @pytest.mark.slow

@@ -34,10 +34,17 @@ def test_suite_passes(name):
     assert res.worst_slack >= 0
 
 
+@pytest.fixture(scope="module")
+def ordering_run():
+    # the optimizer-bound suite, asked for 50 trials; both tests below read
+    # this one run
+    (res,) = verify.run_suites(["ordering"], trials=50, base_seed=0)
+    return res
+
+
 @pytest.mark.slow
-def test_ordering_suite_passes():
-    (res,) = verify.run_suites(["ordering"], trials=2, base_seed=0)
-    assert res.passed
+def test_ordering_suite_passes(ordering_run):
+    assert ordering_run.passed
 
 
 def test_werner_suite_passes():
@@ -78,9 +85,8 @@ def test_tol_override_trips_failures():
 
 
 @pytest.mark.slow
-def test_expensive_suite_capped():
-    (res,) = verify.run_suites(["ordering"], trials=50, base_seed=0)
-    assert res.trials <= 2
+def test_expensive_suite_capped(ordering_run):
+    assert ordering_run.trials <= 2
 
 
 class TestStatedLowerBounds:
