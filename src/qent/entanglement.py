@@ -101,7 +101,6 @@ class OptimizerOptions:
     max_iter: int = 20000  # cap per Nelder-Mead simplex run
     explore_runs: int = 2  # simplex runs granted to every restart
     polish_runs: int = 40  # additional runs granted to the incumbent best
-    stall_window: int = 50
     stall_tol: float = 1e-8
     seed: int = 0
     n_terms: int | None = None  # defaults to (dA*dB)**2

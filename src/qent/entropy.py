@@ -17,7 +17,11 @@ with ``support_violation`` set, the only way a value is infinite.
 The q-independent terms of a pair are computed once and kept on rho for the
 last sigma it was paired with (``DensityOperator._paired``: one entry,
 weakly referencing sigma), so a q grid evaluated one q per call builds them
-once.
+once.  A single q then costs one 1-D dot, expm1((q-1) Delta) . (P_ij p_i);
+a grid of q is one matrix-vector product.  Single-q values are bit-stable:
+the same for a pair whether its terms are fresh or remembered.  A grid row
+may differ from the single-q value in the last bit, since the matrix-vector
+product sums in another order.
 """
 
 from __future__ import annotations
@@ -99,15 +103,22 @@ def _relative_entropies(rho: DensityOperator, sigma: DensityOperator, qs) -> lis
     """D_q(rho|sigma) for every q in ``qs`` (q = 1: Umegaki); +inf marks a
     support violation."""
     weight, delta, off_support, umegaki, violation = rho._paired(sigma, _pair_terms)
+
+    def value(q, term):
+        if q == 0.0:
+            return 0.0
+        if q >= 1.0 and violation:
+            return math.inf
+        if q == 1.0:
+            return umegaki
+        return (term - off_support) / (q - 1.0)
+
+    if len(qs) == 1:
+        q = float(qs[0])
+        return [value(q, float(np.expm1((q - 1.0) * delta).dot(weight)))]
     qs = np.asarray(qs, dtype=float)
     terms = np.expm1(np.multiply.outer(qs - 1.0, delta)) @ weight
-    return [
-        0.0 if q == 0.0
-        else math.inf if q >= 1.0 and violation
-        else umegaki if q == 1.0
-        else (term - off_support) / (q - 1.0)
-        for q, term in zip(qs.tolist(), terms.tolist())
-    ]
+    return [value(q, term) for q, term in zip(qs.tolist(), terms.tolist())]
 
 
 def _entropy_value(rho: DensityOperator, sigma: DensityOperator, q: float):

@@ -54,14 +54,14 @@ def as_complex_matrix(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     return M
 
 
 def hermiticity_defect(M: np.ndarray) -> float:
     """max |M_ij - conj(M_ji)|."""
-    return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
+    return float(np.abs(M - M.conj().T).max()) if M.size else 0.0
 
 
 def frobenius_norm(M: np.ndarray) -> float:
@@ -100,7 +100,7 @@ def psd_spectrum(M) -> Spectrum:
     w = spec.eigenvalues
     if w.size and w[0] < -PSD_CLIP_TOL:
         raise NotPSDError(f"negative eigenvalue {w[0]:.3e}")
-    return Spectrum(eigenvalues=np.clip(w, 0.0, None), eigenvectors=spec.eigenvectors)
+    return Spectrum(eigenvalues=np.maximum(w, 0.0), eigenvectors=spec.eigenvectors)
 
 
 def matrix_power_q(M, q: float) -> np.ndarray:

@@ -19,6 +19,11 @@ from .errors import OutOfRangeError, ZeroVectorError
 DENSITY_TOL = 1e-9
 
 
+def _read_only(*arrays) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, PSD, unit-trace complex matrix.
@@ -31,7 +36,7 @@ class DensityOperator:
 
     def __post_init__(self):
         M = linalg.as_complex_matrix(self.matrix).copy()
-        M.flags.writeable = False
+        _read_only(M)
         object.__setattr__(self, "matrix", M)
 
     @property
@@ -47,8 +52,7 @@ class DensityOperator:
         arrays are read-only because every caller shares them.
         """
         spec = linalg.psd_spectrum(self.matrix)
-        spec.eigenvalues.flags.writeable = False
-        spec.eigenvectors.flags.writeable = False
+        _read_only(spec.eigenvalues, spec.eigenvectors)
         return spec
 
     def _paired(self, other: DensityOperator, build):
@@ -69,6 +73,14 @@ class DensityOperator:
     def __getstate__(self):
         # weakrefs do not pickle, and the memo is cheap to rebuild
         return {k: v for k, v in self.__dict__.items() if k != "_pair_memo"}
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writeable; the cached spectrum and the
+        # pair memo are sound only while the matrix cannot change
+        self.__dict__.update(state)
+        _read_only(self.matrix)
+        if "spectrum" in state:
+            _read_only(self.spectrum.eigenvalues, self.spectrum.eigenvectors)
 
 
 @dataclass(frozen=True)

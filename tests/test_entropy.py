@@ -274,6 +274,42 @@ class TestPairMemo:
 
     def test_pickle_and_deepcopy_after_a_call(self):
         rho, sigma = states.random_density(3, 13), states.random_density(3, 14)
+        unused = states.random_density(3, 15)  # spectrum never computed
         value = entropy.tsallis_relative_entropy(rho, sigma, 0.4).value
-        for restored in (pickle.loads(pickle.dumps((rho, sigma))), copy.deepcopy((rho, sigma))):
-            assert entropy.tsallis_relative_entropy(*restored, 0.4).value == value
+        triple = (rho, sigma, unused)
+        for restored in (pickle.loads(pickle.dumps(triple)), copy.deepcopy(triple)):
+            for state in restored:
+                spec = state.spectrum
+                for array in (state.matrix, spec.eigenvalues, spec.eigenvectors):
+                    with pytest.raises(ValueError):
+                        array[0] = 0.9
+            assert entropy.tsallis_relative_entropy(*restored[:2], 0.4).value == value
+
+
+def _low_rank(dim, rank, seed):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    M = G @ G.conj().T
+    return states.DensityOperator(M / np.trace(M).real)
+
+
+class TestSingleQAndGrid:
+    """One q is a 1-D dot; a grid is one matrix-vector product, whose rows may
+    differ from the one-q values in the last bit."""
+
+    QS = [round(0.05 * k, 2) for k in range(41)]
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_agreement(self, dim):
+        full = states.random_density(dim, 300 + dim)
+        pairs = [
+            (full, states.random_density(dim, 400 + dim)),
+            (_low_rank(dim, 1, 500 + dim), full),  # rank-deficient rho
+            (full, _low_rank(dim, max(1, dim // 2), 600 + dim)),  # violation
+        ]
+        for rho, sigma in pairs:
+            single = [entropy.tsallis_relative_entropy(rho, sigma, q).value for q in self.QS]
+            assert single == [entropy._relative_entropies(rho, sigma, [q])[0] for q in self.QS]
+            grid = entropy._relative_entropies(rho, sigma, self.QS[1:-1])
+            assert grid == pytest.approx(single[1:-1], rel=1e-14, abs=1e-14)
+        assert math.isinf(single[-1])  # the violating pair at q = 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qent import linalg
+from qent import linalg, states
 from qent.errors import DimensionMismatchError, NotHermitianError, NotPSDError
 
 
@@ -47,6 +47,22 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             linalg.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "entry",
+        [complex(x, 0.0) for x in (np.nan, np.inf, -np.inf)]
+        + [complex(0.0, x) for x in (np.nan, np.inf, -np.inf)],
+    )
+    @pytest.mark.parametrize(
+        "build", [linalg.as_complex_matrix, linalg.eig_hermitian, states.DensityOperator]
+    )
+    def test_rejected(self, build, entry):
+        M = np.eye(2, dtype=complex) / 2
+        M[0, 1] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            build(M)
 
 
 class TestMatrixPowerQ:
