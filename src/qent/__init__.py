@@ -50,6 +50,7 @@ from .states import (
     save_state,
     validate_density,
     werner_state,
+    werner_states,
 )
 from .werner import werner_er_closed, werner_sweep, werner_tsallis_closed
 

@@ -27,6 +27,7 @@ class Spectrum:
 
     eigenvalues are sorted nondecreasing; eigenvector columns are
     orthonormal and phase-fixed (first nonzero component real positive).
+    For a stack of matrices both arrays carry a leading stack axis.
     """
 
     eigenvalues: np.ndarray
@@ -34,11 +35,11 @@ class Spectrum:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
+        return (V * self.eigenvalues[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -50,13 +51,19 @@ class MatrixLog:
     rank: int
 
 
-def as_complex_matrix(M) -> np.ndarray:
+def _as_complex(M, ndims) -> np.ndarray:
+    """M as a finite complex array of ``ndims`` dimensions whose last two
+    are equal: (2,) for one square matrix, (2, 3) to admit a stack."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim not in ndims or M.shape[-1] != M.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     return M
+
+
+def as_complex_matrix(M) -> np.ndarray:
+    return _as_complex(M, (2,))
 
 
 def hermiticity_defect(M: np.ndarray) -> float:
@@ -70,36 +77,49 @@ def frobenius_norm(M: np.ndarray) -> float:
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
     """Rotate each column so its first nonzero component is real positive."""
-    nonzero = np.abs(V) > 1e-12
-    pivot = V[nonzero.argmax(0), np.arange(V.shape[1])]
+    magnitude = np.abs(V)
+    nonzero = magnitude > 1e-12
+    at = nonzero.argmax(0), np.arange(V.shape[1])
     # a column with no component above 1e-12 keeps its phase (pivot 1)
-    pivot = np.where(nonzero.any(0), pivot, 1.0)
-    return V * (np.conj(pivot) / np.abs(pivot))
+    found = nonzero.any(0)
+    pivot = np.where(found, V[at], 1.0)
+    return V * (np.conj(pivot) / np.where(found, magnitude[at], 1.0))
 
 
 def eig_hermitian(M, tol: float = HERMITICITY_TOL) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix with deterministic phases.
 
-    Raises NotHermitianError if max |M_ij - conj(M_ji)| exceeds ``tol``.
+    ``M`` may also be a stack (n, d, d): the Spectrum then holds eigenvalues
+    (n, d) and eigenvectors (n, d, d) from one LAPACK call, and slice k is
+    bit-identical to ``eig_hermitian(M[k])``.
+
+    Raises NotHermitianError if max |M_ij - conj(M_ji)| exceeds ``tol`` (on
+    any member of a stack).
     """
-    M = as_complex_matrix(M)
-    defect = hermiticity_defect(M)
+    M = _as_complex(M, (2, 3))
+    H = M.conj().swapaxes(-1, -2)
+    defect = float(np.abs(M - H).max()) if M.size else 0.0
     if defect > tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    w, V = np.linalg.eigh((M + M.conj().T) / 2)
-    return Spectrum(eigenvalues=w, eigenvectors=_fix_phases(V))
+    w, V = np.linalg.eigh((M + H) / 2)
+    # every member's columns side by side, phase-fixed as one matrix
+    d = M.shape[-1]
+    fixed = _fix_phases(V.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1))
+    fixed = np.ascontiguousarray(fixed.reshape(d, -1, d).transpose(1, 0, 2))
+    return Spectrum(eigenvalues=w, eigenvectors=fixed.reshape(V.shape))
 
 
 def psd_spectrum(M) -> Spectrum:
-    """Eigendecomposition of a PSD Hermitian matrix.
+    """Eigendecomposition of a PSD Hermitian matrix, or of each member of a
+    stack (see ``eig_hermitian``).
 
     Eigenvalues in (-PSD_CLIP_TOL, 0) are clipped to 0; a more negative one
     raises NotPSDError.
     """
     spec = eig_hermitian(M)
     w = spec.eigenvalues
-    if w.size and w[0] < -PSD_CLIP_TOL:
-        raise NotPSDError(f"negative eigenvalue {w[0]:.3e}")
+    if w.size and w.min() < -PSD_CLIP_TOL:
+        raise NotPSDError(f"negative eigenvalue {w.min():.3e}")
     return Spectrum(eigenvalues=np.maximum(w, 0.0), eigenvectors=spec.eigenvectors)
 
 
@@ -128,7 +148,7 @@ def matrix_log(M) -> MatrixLog:
     Eigenvalues <= SUPPORT_TOL are treated as exact zeros: they do not
     enter the log and are excluded from the support projector.
     """
-    spec = psd_spectrum(M)
+    spec = psd_spectrum(as_complex_matrix(M))
     w = spec.eigenvalues
     on_support = w > SUPPORT_TOL
     logs = np.where(on_support, np.log(np.where(on_support, w, 1.0)), 0.0)
@@ -140,27 +160,32 @@ def matrix_log(M) -> MatrixLog:
 
 def trace_norm(M, tol: float = HERMITICITY_TOL) -> float:
     """Sum of |eigenvalues| of a Hermitian matrix."""
-    spec = eig_hermitian(M, tol=tol)
+    spec = eig_hermitian(as_complex_matrix(M), tol=tol)
     return float(np.sum(np.abs(spec.eigenvalues)))
 
 
 def kron(A, B) -> np.ndarray:
-    return np.kron(as_complex_matrix(A), as_complex_matrix(B))
+    """Kronecker product of two matrices, or of two stacks member by member."""
+    A, B = _as_complex(A, (2, 3)), _as_complex(B, (2, 3))
+    out = A[..., :, None, :, None] * B[..., None, :, None, :]
+    d = A.shape[-1] * B.shape[-1]
+    return out.reshape(out.shape[:-4] + (d, d))
 
 
 def partial_trace(M, dA: int, dB: int, keep: str = "A") -> np.ndarray:
-    """Trace out one tensor factor of a dA*dB-dimensional operator.
+    """Trace out one tensor factor of a dA*dB-dimensional operator, or of
+    each member of a stack.
 
     ``keep`` selects the surviving subsystem: "A" (first) or "B" (second).
     """
-    M = as_complex_matrix(M)
-    if M.shape[0] != dA * dB:
+    M = _as_complex(M, (2, 3))
+    if M.shape[-1] != dA * dB:
         raise DimensionMismatchError(
-            f"matrix dimension {M.shape[0]} != dA*dB = {dA * dB}"
+            f"matrix dimension {M.shape[-1]} != dA*dB = {dA * dB}"
         )
-    T = M.reshape(dA, dB, dA, dB)
+    T = M.reshape(M.shape[:-2] + (dA, dB, dA, dB))
     if keep == "A":
-        return np.trace(T, axis1=1, axis2=3)
+        return T.trace(axis1=-3, axis2=-1)
     if keep == "B":
-        return np.trace(T, axis1=0, axis2=2)
+        return T.trace(axis1=-4, axis2=-2)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")

@@ -55,6 +55,20 @@ class DensityOperator:
         _read_only(spec.eigenvalues, spec.eigenvectors)
         return spec
 
+    @classmethod
+    def _from_stack(cls, stack: np.ndarray) -> list:
+        """One operator per member of ``stack`` (n, d, d), each with its
+        ``spectrum`` already filled from one stacked ``linalg.psd_spectrum``
+        (bit-identical to computing it alone)."""
+        spec = linalg.psd_spectrum(stack)
+        _read_only(spec.eigenvalues, spec.eigenvectors)  # and so every slice
+        out = []
+        for M, w, V in zip(stack, spec.eigenvalues, spec.eigenvectors):
+            rho = cls(M)
+            rho.__dict__["spectrum"] = linalg.Spectrum(w, V)
+            out.append(rho)
+        return out
+
     def _paired(self, other: DensityOperator, build):
         """``build(self, other)``, remembered for the last ``other`` only.
 
@@ -166,14 +180,34 @@ _BELL_PROJECTORS = {
 }
 
 
-def werner_state(F: float) -> BipartiteState:
-    """F on the singlet, (1-F)/3 on each of the other three Bell projectors."""
-    if not 0.0 <= F <= 1.0:
-        raise OutOfRangeError(f"F must lie in [0, 1], got {F}")
+def werner_states(Fs) -> list:
+    """``werner_state(F)`` for every F in ``Fs``, with the spectra of the
+    states and of their reduced products already computed, each family as
+    one stack (one ``linalg.psd_spectrum`` call each)."""
+    F = np.asarray(Fs, dtype=float).ravel()
+    outside = F[~((0.0 <= F) & (F <= 1.0))]  # NaN included
+    if outside.size:
+        raise OutOfRangeError(f"F must lie in [0, 1], got {outside[0]}")
+    F = F[:, None, None]
     M = F * _BELL_PROJECTORS["psi-"]
     for kind in ("psi+", "phi-", "phi+"):
         M = M + (1.0 - F) / 3.0 * _BELL_PROJECTORS[kind]
-    return BipartiteState(DensityOperator(M), 2, 2)
+    products = linalg.kron(
+        linalg.partial_trace(M, 2, 2, "A"), linalg.partial_trace(M, 2, 2, "B")
+    )
+    out = []
+    for state, product in zip(
+        DensityOperator._from_stack(M), DensityOperator._from_stack(products)
+    ):
+        W = BipartiteState(state, 2, 2)
+        W.__dict__["product"] = product  # fills the cached_property
+        out.append(W)
+    return out
+
+
+def werner_state(F: float) -> BipartiteState:
+    """F on the singlet, (1-F)/3 on each of the other three Bell projectors."""
+    return werner_states((F,))[0]
 
 
 def _complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:

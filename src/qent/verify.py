@@ -43,14 +43,18 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def record(self, trial: int, seed: int, margin: float, detail: str) -> None:
-        """margin >= 0 means the property held with that much room."""
+    def record(self, trial: int, seed: int, margin: float, detail: str, *args) -> None:
+        """margin >= 0 means the property held with that much room.
+
+        A failure's text is ``detail.format(*args)``, formatted only when
+        the check fails.
+        """
         self.checks += 1
         if margin < self.worst_slack:
             self.worst_slack = margin
         if margin < 0:
             self.failures.append(
-                PropertyFailure(self.name, trial, seed, detail, margin)
+                PropertyFailure(self.name, trial, seed, detail.format(*args), margin)
             )
 
 
@@ -83,7 +87,7 @@ def suite_nonnegativity(trials, base_seed, q_grid=None, tol=1e-10):
         rho, sigma = _pair(s, _dim_for(t))
         for q in grid:
             d = _dq(rho, sigma, q)
-            res.record(t, s, d + tol, f"D_{q}={d:.3e}")
+            res.record(t, s, d + tol, "D_{}={:.3e}", q, d)
     return res
 
 
@@ -99,7 +103,7 @@ def suite_unitary_invariance(trials, base_seed, q_grid=None, tol=1e-9):
         sigma_u = states.DensityOperator(U @ sigma.matrix @ U.conj().T)
         for q in grid:
             gap = abs(_dq(rho_u, sigma_u, q) - _dq(rho, sigma, q))
-            res.record(t, s, tol - gap, f"q={q} |delta|={gap:.3e}")
+            res.record(t, s, tol - gap, "q={} |delta|={:.3e}", q, gap)
     return res
 
 
@@ -116,11 +120,11 @@ def suite_lemma_bounds(trials, base_seed, q_grid=None, tol=1e-9):
         u = entropy.umegaki_relative_entropy(rho, sigma).value
         for q in lo_grid:
             d = _dq(rho, sigma, q)
-            res.record(t, s, d - tnorm + tol, f"q={q} D={d:.3e} T={tnorm:.3e}")
+            res.record(t, s, d - tnorm + tol, "q={} D={:.3e} T={:.3e}", q, d, tnorm)
         for q in hi_grid:
             d = _dq(rho, sigma, q)
-            res.record(t, s, d - u + tol, f"q={q} D={d:.3e} U={u:.3e}")
-        res.record(t, s, u - 0.5 * tnorm**2 + tol, f"U={u:.3e} T={tnorm:.3e}")
+            res.record(t, s, d - u + tol, "q={} D={:.3e} U={:.3e}", q, d, u)
+        res.record(t, s, u - 0.5 * tnorm**2 + tol, "U={:.3e} T={:.3e}", u, tnorm)
     return res
 
 
@@ -135,7 +139,7 @@ def suite_equality_condition(trials, base_seed, q_grid=None, tol=0.0):
             continue
         for q in grid:
             d = _dq(rho, sigma, q)
-            res.record(t, s, d - 0.009, f"q={q} D={d:.3e}")
+            res.record(t, s, d - 0.009, "q={} D={:.3e}", q, d)
     return res
 
 
@@ -165,7 +169,7 @@ def suite_pseudoadditivity(trials, base_seed, q_grid=None, tol=1e-9):
             residual = abs(joint - (a + b + (q - 1.0) * a * b))
             scale = 1.0 if q < 1.0 else 1.0 + abs(a) + abs(b) + abs(joint)
             res.record(
-                t, s, tol * scale - residual, f"q={q} residual={residual:.3e}"
+                t, s, tol * scale - residual, "q={} residual={:.3e}", q, residual
             )
     return res
 
@@ -190,7 +194,7 @@ def suite_q1_continuity(trials, base_seed, q_grid=None, tol=1e-3):
         u = entropy.umegaki_relative_entropy(rho, sigma).value
         for q in (1.0 - 1e-4, 1.0 + 1e-4):
             gap = abs(_dq(rho, sigma, q) - u)
-            res.record(t, s, tol - gap, f"q={q} |delta|={gap:.3e}")
+            res.record(t, s, tol - gap, "q={} |delta|={:.3e}", q, gap)
     return res
 
 
@@ -210,7 +214,7 @@ def suite_commuting_oracle(trials, base_seed, q_grid=None, tol=1e-12):
         for q in grid:
             scalar = entropy.tsallis_relative_entropy_diagonal(p, r, q)
             gap = abs(_dq(rho, sigma, q) - scalar)
-            res.record(t, s, tol - gap, f"q={q} |delta|={gap:.3e}")
+            res.record(t, s, tol - gap, "q={} |delta|={:.3e}", q, gap)
     return res
 
 
@@ -241,7 +245,8 @@ def suite_monotonicity(trials, base_seed, q_grid=None, tol=1e-9):
                 before = _dq(rho, sigma, q)
                 after = _dq(out_r, out_s, q)
                 res.record(
-                    t, s, before - after + tol, f"{name} q={q} delta={after - before:.3e}"
+                    t, s, before - after + tol,
+                    "{} q={} delta={:.3e}", name, q, after - before,
                 )
     return res
 
@@ -258,7 +263,7 @@ def suite_unitary_channel(trials, base_seed, q_grid=None, tol=1e-9):
         out_s = channels.apply_channel(phi, sigma)
         for q in grid:
             gap = abs(_dq(out_r, out_s, q) - _dq(rho, sigma, q))
-            res.record(t, s, tol - gap, f"q={q} |delta|={gap:.3e}")
+            res.record(t, s, tol - gap, "q={} |delta|={:.3e}", q, gap)
     return res
 
 
@@ -269,7 +274,7 @@ def suite_cptp_validity(trials, base_seed, q_grid=None, tol=1e-10):
         dim = _dim_for(t)
         phi = channels.random_channel(dim, 1 + t % 4, s)
         rep = channels.validate_cptp(phi, tol)
-        res.record(t, s, tol - rep.defect, f"defect={rep.defect:.3e}")
+        res.record(t, s, tol - rep.defect, "defect={:.3e}", rep.defect)
     return res
 
 
@@ -284,8 +289,8 @@ def suite_araki_lieb(trials, base_seed, q_grid=None, tol=1e-9):
         s12 = entropy.von_neumann_entropy(sigma.state)
         s1 = entropy.von_neumann_entropy(sigma.reduction("A"))
         s2 = entropy.von_neumann_entropy(sigma.reduction("B"))
-        res.record(t, s, s12 - abs(s1 - s2) + tol, f"lower: S={s12:.4f}")
-        res.record(t, s, s1 + s2 - s12 + tol, f"upper: S={s12:.4f}")
+        res.record(t, s, s12 - abs(s1 - s2) + tol, "lower: S={:.4f}", s12)
+        res.record(t, s, s1 + s2 - s12 + tol, "upper: S={:.4f}", s12)
     return res
 
 
@@ -315,7 +320,7 @@ def suite_state_constructors(trials, base_seed, q_grid=None, tol=1e-9):
             entropy.von_neumann_entropy(pure.reduction("A"))
             - entropy.von_neumann_entropy(pure.reduction("B"))
         )
-        res.record(t, s, tol - gap, f"pure reduction entropies, gap={gap:.3e}")
+        res.record(t, s, tol - gap, "pure reduction entropies, gap={:.3e}", gap)
     return res
 
 
@@ -348,7 +353,7 @@ def suite_linalg(trials, base_seed, q_grid=None, tol=1e-10):
         for q in (0.3, 0.5, 1.7):
             Mq = linalg.matrix_power_q(M, q)
             comm = linalg.frobenius_norm(M @ Mq - Mq @ M)
-            res.record(t, s, tol - comm, f"[M, M^{q}]")
+            res.record(t, s, tol - comm, "[M, M^{}]", q)
         A = states.random_density(dim, s * 1000 + 2).matrix - M
         B = states.random_density(dim, s * 1000 + 3).matrix - M
         res.record(t, s, linalg.trace_norm(A), "trace norm nonnegative")
@@ -390,10 +395,10 @@ def suite_product_zero(trials, base_seed, q_grid=None, tol=1e-10):
         )
         for q in grid:
             ev = entanglement.tsallis_measure(product, q).value
-            res.record(t, s, tol - abs(ev), f"product q={q} E={ev:.3e}")
+            res.record(t, s, tol - abs(ev), "product q={} E={:.3e}", q, ev)
             if gap > 1e-3:
                 ec = entanglement.tsallis_measure(corr, q).value
-                res.record(t, s, ec - 1e-10, f"correlated q={q} E={ec:.3e}")
+                res.record(t, s, ec - 1e-10, "correlated q={} E={:.3e}", q, ec)
     return res
 
 
@@ -415,7 +420,7 @@ def suite_local_unitary_invariance(trials, base_seed, q_grid=None, tol=1e-9):
                 entanglement.tsallis_measure(rotated, q).value
                 - entanglement.tsallis_measure(sigma, q).value
             )
-            res.record(t, s, tol - gap, f"q={q} |delta|={gap:.3e}")
+            res.record(t, s, tol - gap, "q={} |delta|={:.3e}", q, gap)
     return res
 
 
@@ -433,7 +438,9 @@ def suite_local_channel_monotonicity(trials, base_seed, q_grid=None, tol=1e-9):
         for q in grid:
             before = entanglement.tsallis_measure(sigma, q).value
             after = entanglement.tsallis_measure(out, q).value
-            res.record(t, s, before - after + tol, f"q={q} delta={after - before:.3e}")
+            res.record(
+                t, s, before - after + tol, "q={} delta={:.3e}", q, after - before
+            )
     return res
 
 
@@ -450,7 +457,7 @@ def suite_pure_mutual(trials, base_seed, q_grid=None, tol=1e-9):
             entanglement.mutual_entropy_measure(sigma).value
             - 2.0 * entanglement.pure_entanglement(sigma)
         )
-        res.record(t, s, tol - gap, f"|E^M - 2E| = {gap:.3e}")
+        res.record(t, s, tol - gap, "|E^M - 2E| = {:.3e}", gap)
     return res
 
 
@@ -468,9 +475,13 @@ def suite_measure_subadditivity(trials, base_seed, q_grid=None, tol=1e-9):
             a = entanglement.tsallis_measure(s1, q).value
             b = entanglement.tsallis_measure(s2, q).value
             ab = entanglement.tsallis_measure(joint, q).value
-            res.record(t, s, a + b - ab + tol, f"q={q} sum={a + b:.4f} joint={ab:.4f}")
+            res.record(
+                t, s, a + b - ab + tol, "q={} sum={:.4f} joint={:.4f}", q, a + b, ab
+            )
             residual = abs(ab - (a + b + (q - 1.0) * a * b))
-            res.record(t, s, tol - residual, f"q={q} identity residual={residual:.3e}")
+            res.record(
+                t, s, tol - residual, "q={} identity residual={:.3e}", q, residual
+            )
     return res
 
 
@@ -483,7 +494,7 @@ def suite_measure_q1_limit(trials, base_seed, q_grid=None, tol=1e-3):
             entanglement.tsallis_measure(sigma, 1.0 - 1e-4).value
             - entanglement.mutual_entropy_measure(sigma).value
         )
-        res.record(t, s, tol - gap, f"|delta|={gap:.3e}")
+        res.record(t, s, tol - gap, "|delta|={:.3e}", gap)
     return res
 
 
@@ -500,7 +511,7 @@ def suite_ordering(trials, base_seed, q_grid=None, tol=1e-9):
             seed=s, restarts=2, explore_runs=1, polish_runs=20
         )
         er = entanglement.relative_entropy_of_entanglement(sigma, light).value
-        res.record(t, s, em - er + tol, f"E^R={er:.4f} E^M={em:.4f}")
+        res.record(t, s, em - er + tol, "E^R={:.4f} E^M={:.4f}", er, em)
     return res
 
 
@@ -509,25 +520,27 @@ def suite_werner(trials, base_seed, q_grid=None, tol=1e-10):
     limit and the q*-match at F = 0.9.  Deterministic; trials are ignored."""
     res = SuiteResult("werner", 1)
     qs = np.arange(0.05, 1.0, 0.05)
-    for F in np.linspace(0.0, 1.0, 21):
-        W = states.werner_state(float(F))
+    Fs = np.linspace(0.0, 1.0, 21)
+    for F, W in zip(Fs, states.werner_states(Fs)):
         # E_q^T(W) = D_q(W | W_A (x) W_B) on the whole q grid in one kernel call
         values = entropy._relative_entropies(W.state, W.product, qs)
         for q, value in zip(qs, values):
             gap = abs(werner.werner_tsallis_closed(float(F), float(q)) - value)
-            res.record(0, base_seed, tol - gap, f"F={F:.2f} q={q:.2f} gap={gap:.2e}")
+            res.record(
+                0, base_seed, tol - gap, "F={:.2f} q={:.2f} gap={:.2e}", F, q, gap
+            )
         em = entanglement.mutual_entropy_measure(W).value
         gap = abs(werner.werner_tsallis_closed(float(F), 1.0 - 1e-5) - em)
-        res.record(0, base_seed, 1e-3 - gap, f"q->1 at F={F:.2f}, gap={gap:.2e}")
+        res.record(0, base_seed, 1e-3 - gap, "q->1 at F={:.2f}, gap={:.2e}", F, gap)
     report = entanglement.match_q(
         states.werner_state(0.9), werner.werner_er_closed(0.9), tol=1e-8
     )
-    res.record(0, base_seed, 0.40 - report.q_star, f"q*={report.q_star:.4f}")
-    res.record(0, base_seed, report.q_star - 0.30, f"q*={report.q_star:.4f}")
+    res.record(0, base_seed, 0.40 - report.q_star, "q*={:.4f}", report.q_star)
+    res.record(0, base_seed, report.q_star - 0.30, "q*={:.4f}", report.q_star)
     gap = abs(
         werner.werner_tsallis_closed(0.9, report.q_star) - werner.werner_er_closed(0.9)
     )
-    res.record(0, base_seed, 1e-6 - gap, f"closed-form residual {gap:.2e}")
+    res.record(0, base_seed, 1e-6 - gap, "closed-form residual {:.2e}", gap)
     return res
 
 

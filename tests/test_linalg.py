@@ -49,6 +49,45 @@ class TestEigHermitian:
             linalg.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def _mixed_stack(member):
+    """Four maximally mixed qubits with ``member`` in third place."""
+    stack = np.stack([np.eye(2, dtype=complex) / 2] * 4)
+    stack[2] = member
+    return stack
+
+
+class TestStackedInput:
+    def test_one_non_hermitian_member(self):
+        stack = _mixed_stack([[0.5, 1e-3], [0.0, 0.5]])
+        for decompose in (linalg.eig_hermitian, linalg.psd_spectrum):
+            with pytest.raises(NotHermitianError):
+                decompose(stack)
+
+    def test_one_non_psd_member(self):
+        stack = _mixed_stack(np.diag([1.5, -0.5]))
+        with pytest.raises(NotPSDError):
+            linalg.psd_spectrum(stack)
+        assert linalg.eig_hermitian(stack).eigenvalues[2, 0] == -0.5
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            states.DensityOperator,
+            linalg.as_complex_matrix,
+            linalg.trace_norm,
+            linalg.matrix_log,
+            lambda M: linalg.matrix_power_q(M, 0.5),
+        ],
+    )
+    def test_single_matrix_calls_reject_a_stack(self, call):
+        with pytest.raises(DimensionMismatchError):
+            call(_mixed_stack(np.eye(2) / 2))
+
+    def test_four_dimensional_input_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            linalg.eig_hermitian(np.zeros((2, 2, 2, 2)))
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "entry",
@@ -56,7 +95,21 @@ class TestNonFiniteInput:
         + [complex(0.0, x) for x in (np.nan, np.inf, -np.inf)],
     )
     @pytest.mark.parametrize(
-        "build", [linalg.as_complex_matrix, linalg.eig_hermitian, states.DensityOperator]
+        "build",
+        [
+            linalg.as_complex_matrix,
+            linalg.eig_hermitian,
+            states.DensityOperator,
+            lambda M: linalg.eig_hermitian(_mixed_stack(M)),
+            lambda M: linalg.psd_spectrum(_mixed_stack(M)),
+        ],
+        ids=[
+            "as_complex_matrix",
+            "eig_hermitian",
+            "DensityOperator",
+            "eig_hermitian_stack",
+            "psd_spectrum_stack",
+        ],
     )
     def test_rejected(self, build, entry):
         M = np.eye(2, dtype=complex) / 2
@@ -175,6 +228,24 @@ class TestKronPartialTrace:
         with pytest.raises(DimensionMismatchError):
             linalg.partial_trace(np.eye(5), 2, 2, "A")
 
+    def test_kron_bit_identical_to_numpy(self):
+        for dA in range(1, 17):
+            for dB in range(1, 17):
+                A = rand_hermitian(dA, 100 * dA + dB)
+                B = rand_hermitian(dB, 100 * dB + dA + 5000)
+                assert np.array_equal(linalg.kron(A, B), np.kron(A, B)), (dA, dB)
+
+    @pytest.mark.parametrize("dA, dB", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 4)])
+    def test_stack_slices_equal_single_calls(self, dA, dB):
+        Ms = np.stack([rand_hermitian(dA * dB, seed) for seed in range(9)])
+        As, Bs = Ms[:, :dA, :dA], Ms[:, -dB:, -dB:]
+        for keep in "AB":
+            stacked = linalg.partial_trace(Ms, dA, dB, keep)
+            for M, out in zip(Ms, stacked, strict=True):
+                assert np.array_equal(out, linalg.partial_trace(M, dA, dB, keep))
+        for A, B, out in zip(As, Bs, linalg.kron(As, Bs), strict=True):
+            assert np.array_equal(out, np.kron(A, B))
+
 
 def _fix_phases_loop(V):
     """The column-by-column phase fix that ``linalg._fix_phases`` replaces."""
@@ -188,15 +259,51 @@ def _fix_phases_loop(V):
     return V
 
 
+def _phase_test_matrix(dim, seed):
+    """Hermitian and full rank; every third one diagonal, and every third
+    rank-deficient PSD (eigenvectors with leading zero components)."""
+    M = rand_hermitian(dim, seed)
+    if seed % 3 == 0:
+        return np.diag(np.diag(M).real)
+    if seed % 3 == 1:
+        G = M[:, : dim // 2]
+        return G @ G.conj().T
+    return M
+
+
+def _phase_test_stacks():
+    """(dim, seeds, stack) at d = 1-16, 100 seeded matrices each."""
+    for dim in range(1, 17):
+        seeds = range(dim - 1, 1600, 16)
+        yield dim, seeds, np.stack([_phase_test_matrix(dim, s) for s in seeds])
+
+
 class TestFixPhases:
     def test_bit_identical_to_loop(self):
-        for seed in range(1600):
-            dim = 1 + seed % 16
-            M = rand_hermitian(dim, seed)
-            if seed % 3 == 0:  # eigenvectors with leading zero components
-                M = np.diag(np.diag(M).real)
-            _, V = np.linalg.eigh(M)
-            assert np.array_equal(linalg._fix_phases(V), _fix_phases_loop(V)), seed
+        # the phase fix alone, a single eig_hermitian call and each slice of
+        # one stacked call all equal the loop on eigh's output
+        for dim, seeds, Ms in _phase_test_stacks():
+            stacked = linalg.eig_hermitian(Ms)
+            assert stacked.dim == dim
+            assert np.max(np.abs(stacked.reconstruct() - Ms)) < 1e-10
+            for k, (seed, M) in enumerate(zip(seeds, Ms, strict=True)):
+                w, V = np.linalg.eigh((M + M.conj().T) / 2)
+                expected = _fix_phases_loop(V)
+                assert np.array_equal(linalg._fix_phases(V), expected), seed
+                single = linalg.eig_hermitian(M)
+                assert np.array_equal(single.eigenvalues, w), seed
+                assert np.array_equal(single.eigenvectors, expected), seed
+                assert np.array_equal(stacked.eigenvalues[k], w), seed
+                assert np.array_equal(stacked.eigenvectors[k], expected), seed
+
+    def test_psd_stack_slices_equal_single_calls(self):
+        for dim, seeds, Ms in _phase_test_stacks():
+            Ps = Ms @ Ms.conj().swapaxes(1, 2)
+            stacked = linalg.psd_spectrum(Ps)
+            for k, (seed, P) in enumerate(zip(seeds, Ps, strict=True)):
+                one = linalg.psd_spectrum(P)
+                assert np.array_equal(stacked.eigenvalues[k], one.eigenvalues), seed
+                assert np.array_equal(stacked.eigenvectors[k], one.eigenvectors), seed
 
     def test_zero_column_unchanged_without_warning(self):
         V = np.zeros((3, 2), dtype=complex)

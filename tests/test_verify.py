@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -62,11 +63,30 @@ def test_determinism():
 
 def test_failure_records():
     (res,) = verify.run_suites(["lemma-bounds"], trials=20, base_seed=0)
+    # only the false q in (0, 1) bound fails here; benchmarks/ parses this text
+    detail = re.compile(r"q=0\.\d D=\d\.\d{3}e[-+]\d\d T=\d\.\d{3}e[-+]\d\d")
+    assert res.failures
     for f in res.failures:
         assert f.suite == "lemma-bounds"
         assert f.slack < 0
-        assert isinstance(f.detail, str)
+        assert detail.fullmatch(f.detail), f.detail
         assert f.seed == f.trial  # base_seed 0
+
+
+def test_record_formats_only_failures():
+    class Unformattable:
+        def __format__(self, spec):
+            raise AssertionError("a passing check formatted its detail")
+
+    res = verify.SuiteResult("demo", 1)
+    res.record(0, 3, 0.0, "q={} D={:.3e}", Unformattable(), Unformattable())
+    res.record(0, 3, -0.5, "q={} D={:.3e} T={:.3e}", 0.1, 0.0123, 1.5)
+    res.record(0, 3, -0.25, "reconstruction")
+    assert [f.detail for f in res.failures] == [
+        "q=0.1 D=1.230e-02 T=1.500e+00",
+        "reconstruction",
+    ]
+    assert (res.checks, res.worst_slack) == (3, -0.5)
 
 
 def test_q_grid_override():

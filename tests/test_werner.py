@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from qent import werner
 from qent.entanglement import mutual_entropy_measure, tsallis_measure
 from qent.errors import OutOfRangeError
-from qent.states import bell_vector, werner_state
+from qent.linalg import psd_spectrum
+from qent.states import bell_vector, werner_state, werner_states
 
 
 class TestErClosed:
@@ -67,8 +70,7 @@ class TestMutualClosed:
             werner.werner_mutual(1.5)
 
 
-@pytest.mark.parametrize("F", [0.0, 0.3, 0.9, 1.0])
-def test_werner_state_is_the_projector_sum(F):
+def _projector_sum(F):
     def projector(kind):
         v = bell_vector(kind)
         return np.outer(v, v.conj()) / np.vdot(v, v).real
@@ -76,7 +78,49 @@ def test_werner_state_is_the_projector_sum(F):
     M = F * projector("psi-")
     for kind in ("psi+", "phi-", "phi+"):
         M = M + (1.0 - F) / 3.0 * projector(kind)
-    assert np.array_equal(werner_state(F).matrix, M)
+    return M
+
+
+@pytest.mark.parametrize("F", [0.0, 0.3, 0.9, 1.0])
+def test_werner_state_is_the_projector_sum(F):
+    assert np.array_equal(werner_state(F).matrix, _projector_sum(F))
+
+
+class TestWernerStates:
+    @pytest.mark.parametrize(
+        "Fs",
+        [np.linspace(0.0, 1.0, 21), np.random.default_rng(11).uniform(0.0, 1.0, 40)],
+        ids=["grid", "random"],
+    )
+    def test_stacks_equal_per_state_calls(self, Fs):
+        for F, W in zip(Fs, werner_states(Fs), strict=True):
+            M = _projector_sum(float(F))
+            T = M.reshape(2, 2, 2, 2)
+            A, B = np.trace(T, axis1=1, axis2=3), np.trace(T, axis1=0, axis2=2)
+            product = np.kron(A, B)
+            assert np.array_equal(W.matrix, M)
+            assert np.array_equal(W.product.matrix, product)
+            for op, matrix in ((W.state, M), (W.product, product)):
+                single = psd_spectrum(matrix)
+                assert np.array_equal(op.spectrum.eigenvalues, single.eigenvalues)
+                assert np.array_equal(op.spectrum.eigenvectors, single.eigenvectors)
+
+    @pytest.mark.parametrize("F", [-0.1, 1.5, math.nan])
+    def test_out_of_range(self, F):
+        with pytest.raises(OutOfRangeError, match="F must lie in"):
+            werner_states([0.5, F, 0.7])
+        with pytest.raises(OutOfRangeError, match="F must lie in"):
+            werner_state(F)
+
+    def test_arrays_read_only_after_pickle_and_deepcopy(self):
+        W = werner_states([0.2, 0.9])[1]
+        for restored in (W, pickle.loads(pickle.dumps(W)), copy.deepcopy(W)):
+            assert np.array_equal(restored.matrix, W.matrix)
+            for op in (restored.state, restored.product):
+                spec = op.spectrum
+                for array in (op.matrix, spec.eigenvalues, spec.eigenvectors):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[(0,) * array.ndim] = 0.0
 
 
 class TestSweep:
