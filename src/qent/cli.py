@@ -241,7 +241,11 @@ def cmd_match_q(args) -> int:
 def _parse_q_grid(spec):
     if spec is None:
         return None
-    return tuple(float(x) for x in spec.split(",") if x.strip())
+    grid = tuple(float(x) for x in spec.split(",") if x.strip())
+    bad = [q for q in grid if not 0 <= q <= 2]  # also rejects nan
+    if bad:
+        raise ValueError(f"q-grid values must lie in [0, 2], got {bad}")
+    return grid
 
 
 def _parse_tol_overrides(pairs):
@@ -260,14 +264,16 @@ def cmd_verify(args) -> int:
             names = list(verify_mod.SUITES)
         else:
             names = [s.strip() for s in args.suite.split(",")]
-            unknown = [n for n in names if n not in verify_mod.SUITES]
-            if unknown:
-                raise ValueError(
-                    f"unknown suite(s) {unknown}; available: "
-                    + ", ".join(sorted(verify_mod.SUITES))
-                )
-        q_grid = _parse_q_grid(args.q_grid)
         overrides = _parse_tol_overrides(args.tol)
+        unknown = [n for n in [*names, *overrides] if n not in verify_mod.SUITES]
+        if unknown:
+            raise ValueError(
+                f"unknown suite(s) {unknown}; available: "
+                + ", ".join(sorted(verify_mod.SUITES))
+            )
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
+        q_grid = _parse_q_grid(args.q_grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -158,6 +158,28 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--suite", "nope"])
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials(self, capsys, trials):
+        code, _, err = run(capsys, ["verify", "--suite", "nonnegativity",
+                                    f"--trials={trials}", "--no-timestamp"])
+        assert code == 2
+        assert err.startswith("error:") and "--trials" in err
+
+    def test_unknown_tol_suite(self, capsys):
+        code, _, err = run(capsys, ["verify", "--suite", "nonnegativity",
+                                    "--trials", "2", "--tol", "nonnegativty=1e-30",
+                                    "--no-timestamp"])
+        assert code == 2
+        assert err.startswith("error:") and "nonnegativty" in err
+
+    @pytest.mark.parametrize("grid", ["5", "nan", "0.5,-0.1"])
+    def test_q_grid_out_of_range(self, capsys, grid):
+        code, _, err = run(capsys, ["verify", "--suite", "nonnegativity",
+                                    "--trials", "2", f"--q-grid={grid}",
+                                    "--no-timestamp"])
+        assert code == 2
+        assert err.startswith("error:") and "q-grid" in err
+
     def test_deterministic_output(self, capsys):
         argv = ["verify", "--suite", "unitary-invariance", "--trials", "10",
                 "--seed", "3", "--no-timestamp"]

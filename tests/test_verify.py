@@ -51,6 +51,8 @@ def test_ordering_suite_passes(ordering_run):
 def test_werner_suite_passes():
     (res,) = verify.run_suites(["werner"], trials=1, base_seed=0)
     assert res.passed
+    # 21 F values x 19 q values, 21 q -> 1 limits, 3 q* checks
+    assert res.checks == 21 * 19 + 21 + 3
 
 
 def test_determinism():
@@ -107,6 +109,100 @@ def test_tol_override_trips_failures():
 @pytest.mark.slow
 def test_expensive_suite_capped(ordering_run):
     assert ordering_run.trials <= 2
+
+
+# --- the runner, on stub trials ------------------------------------------------
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    """Replace the named suites by a trial that records its calls and
+    reports one failing check tagged with its trial index."""
+    calls = []
+
+    def trial(check, t, s, **kwargs):
+        calls.append((t, s, kwargs))
+        check(-1.0, "t={}", t)
+
+    def install(*names):
+        for name in names:
+            monkeypatch.setitem(verify.SUITES, name, trial)
+        return calls
+
+    return install
+
+
+def test_runner_seeds_trials_in_order(stub):
+    calls = stub("nonnegativity")
+    (res,) = verify.run_suites(["nonnegativity"], trials=4, base_seed=10)
+    assert [(t, s) for t, s, _ in calls] == [(0, 10), (1, 11), (2, 12), (3, 13)]
+    assert (res.trials, res.checks) == (4, 4)
+    assert [(f.trial, f.seed, f.detail) for f in res.failures] == [
+        (t, 10 + t, f"t={t}") for t in range(4)
+    ]
+
+
+@pytest.mark.parametrize("name,cap", [("ordering", 2), ("werner", 1)])
+def test_runner_caps_trials(stub, name, cap):
+    calls = stub(name, "araki-lieb")
+    res = verify.run_suites([name, "araki-lieb"], trials=5, base_seed=0)
+    assert [r.trials for r in res] == [cap, 5]
+    assert len(calls) == cap + 5
+    (res,) = verify.run_suites([name], trials=0, base_seed=0)
+    assert (res.trials, res.checks) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "q_grid,tols,want",
+    [
+        (None, None, [{}, {}]),
+        ((), {"araki-lieb": 1e-3}, [{}, {"tol": 1e-3}]),
+        ((0.5,), {}, [{"grid": (0.5,)}, {"grid": (0.5,)}]),
+        ([0.5], {"linalg": 2.0}, [{"grid": [0.5], "tol": 2.0}, {"grid": [0.5]}]),
+    ],
+)
+def test_runner_passes_grid_and_tol_only_when_given(stub, q_grid, tols, want):
+    calls = stub("linalg", "araki-lieb")
+    verify.run_suites(["linalg", "araki-lieb"], 1, 0, q_grid=q_grid, tol_overrides=tols)
+    assert [kwargs for *_, kwargs in calls] == want
+
+
+#: checks per trial for the suites whose count depends only on the trial count
+CHECKS_PER_TRIAL = {
+    "linalg": 9,
+    "state-constructors": 4,
+    "araki-lieb": 2,
+    "nonnegativity": 19,
+    "unitary-invariance": 20,
+    "lemma-bounds": 20,
+    "pseudoadditivity": 19,
+    "q1-continuity": 2,
+    "commuting-oracle": 20,
+    "monotonicity": 47,
+    "unitary-channel": 19,
+    "cptp-validity": 1,
+    "local-unitary-invariance": 9,
+    "local-channel-monotonicity": 9,
+    "pure-mutual": 1,
+    "measure-subadditivity": 18,
+    "measure-q1-limit": 1,
+}
+
+
+@pytest.mark.parametrize("name,per_trial", CHECKS_PER_TRIAL.items())
+def test_checks_per_trial(name, per_trial):
+    (res,) = verify.run_suites([name], trials=3, base_seed=0)
+    assert (res.trials, res.checks) == (3, 3 * per_trial)
+
+
+def test_equality_condition_reads_its_tol():
+    (base,) = verify.run_suites(["equality-condition"], trials=5, base_seed=0)
+    (lifted,) = verify.run_suites(
+        ["equality-condition"], trials=5, base_seed=0,
+        tol_overrides={"equality-condition": 1.0},
+    )
+    assert lifted.checks == base.checks > 0
+    assert lifted.worst_slack == pytest.approx(base.worst_slack + 1.0, abs=1e-12)
 
 
 class TestStatedLowerBounds:
