@@ -254,7 +254,10 @@ def _parse_tol_overrides(pairs):
         name, _, value = item.partition("=")
         if not value:
             raise ValueError(f"tolerance override must be SUITE=VALUE, got {item!r}")
-        out[name] = float(value)
+        tol = float(value)
+        if not math.isfinite(tol):
+            raise ValueError(f"tolerance override must be finite, got {item!r}")
+        out[name] = tol
     return out
 
 

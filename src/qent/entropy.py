@@ -12,16 +12,25 @@ Conventions: eigenvalues <= ``linalg.SUPPORT_TOL`` are exact zeros, with
 0**q = 0 for q > 0 and M**0 = I (so D_0 = 0).  Columns of sigma outside its
 support take r**(1-q) = 0: their weight m = sum P_ij p_i adds m / (1-q), and
 for q >= 1 a weight above ``SUPPORT_VIOLATION_TOL`` makes the value +inf
-with ``support_violation`` set, the only way a value is infinite.
+with ``support_violation`` set, the only way a value is infinite.  These
+choices are made in one place, the scalar ``_value``.
+
+Supports are masks, not slices: the terms of a pair (``_pair_terms``) run
+over every (i, j), with zero weight where p_i or r_j is off its support, so
+one code path takes one pair or a stack of pairs of mixed ranks (a stack of
+Werner states holds the rank-3 W_0 and the pure W_1).
 
 The q-independent terms of a pair are computed once and kept on rho for the
 last sigma it was paired with (``DensityOperator._paired``: one entry,
 weakly referencing sigma), so a q grid evaluated one q per call builds them
-once.  A single q then costs one 1-D dot, expm1((q-1) Delta) . (P_ij p_i);
-a grid of q is one matrix-vector product.  Single-q values are bit-stable:
-the same for a pair whether its terms are fresh or remembered.  A grid row
-may differ from the single-q value in the last bit, since the matrix-vector
-product sums in another order.
+once.  A single q then costs one 1-D dot, expm1((q-1) Delta) . (P_ij p_i).
+A grid of q, for one pair or for a stack (``_relative_entropy_table``), is
+one expm1 and one batched matrix-vector product over its q != 1 columns;
+``_value`` sets only the entries where a convention applies.  Single-q
+values are bit-stable: the same for a pair whether its terms are fresh or
+remembered.  A grid entry may differ from the single-q value in the last
+bit, since the product sums in another order; a table row equals the
+pair's own grid.
 """
 
 from __future__ import annotations
@@ -81,44 +90,111 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return tsallis_entropy(rho, 1.0)
 
 
-def _pair_terms(rho: DensityOperator, sigma: DensityOperator) -> tuple:
-    """The q-independent terms of D_q(rho|sigma) from the cached spectra:
-    (weight P_ij p_i, delta Delta_ij, off-support weight, Umegaki value,
-    support violation)."""
-    # eigenvalues are sorted, so each support is a suffix of its spectrum
-    p, U = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
-    r, V = sigma.spectrum.eigenvalues, sigma.spectrum.eigenvectors
-    i, j = (w.searchsorted(linalg.SUPPORT_TOL, "right") for w in (p, r))
-    weight = np.abs(U[:, i:].conj().T @ V) ** 2 * p[i:, None]  # P_ij p_i
-    off_support = float(weight[:, :j].sum())
-    weight = weight[:, j:].ravel()
-    delta = np.subtract.outer(np.log(p[i:]), np.log(r[j:])).ravel()
-    return (
-        weight, delta, off_support, float(weight @ delta),
-        off_support > SUPPORT_VIOLATION_TOL,
-    )
+def _pair_terms(rho: linalg.Spectrum, sigma: linalg.Spectrum) -> tuple:
+    """The q-independent terms of D_q(rho|sigma) from two spectra, or member
+    by member from two stacks (n, d), (n, d, d): (weight P_ij p_i, delta
+    Delta_ij, off-support weight, Umegaki value, support violation).
+
+    weight and delta are flat over (i, j); weight is zero wherever p_i or r_j
+    is off its support, so pairs of any ranks share one shape.  The last
+    three are Python scalars for one pair and columns (n, 1) for a stack.
+    """
+    p, U = rho.eigenvalues, rho.eigenvectors
+    r, V = sigma.eigenvalues, sigma.eigenvectors
+    d = p.shape[-1]
+    pr = np.concatenate((p, r), -1)
+    on = pr > linalg.SUPPORT_TOL
+    logs = np.log(np.maximum(pr, linalg.SUPPORT_TOL))  # finite off the supports
+    weight = np.abs(U.conj().mT @ V)
+    weight **= 2
+    weight *= (pr * on)[..., :d, None]  # P_ij p_i on rho's support
+    on_support = weight * on[..., None, d:]
+    weight -= on_support  # what sigma's support drops
+    off_support = weight.sum((-2, -1))
+    weight = on_support.reshape(p.shape[:-1] + (-1,))
+    delta = (logs[..., :d, None] - logs[..., None, d:]).reshape(weight.shape)
+    umegaki = np.vecdot(weight, delta)
+    if p.ndim == 1:
+        off_support, umegaki = float(off_support), float(umegaki)
+    else:  # one row per member, to broadcast against a table of q
+        off_support, umegaki = off_support[:, None], umegaki[:, None]
+    return weight, delta, off_support, umegaki, off_support > SUPPORT_VIOLATION_TOL
+
+
+def _spectral_pair_terms(rho: DensityOperator, sigma: DensityOperator) -> tuple:
+    """The build that ``_paired`` remembers: spectra are read only on a miss."""
+    return _pair_terms(rho.spectrum, sigma.spectrum)
+
+
+def _value(q, term, off_support, umegaki, violation):
+    """D_q from the pair sum term = sum_ij P_ij p_i expm1((q-1) Delta_ij),
+    with the conventions at q = 0, at q = 1 and for a support violation."""
+    if q == 0.0:
+        return 0.0
+    if q >= 1.0 and violation:
+        return math.inf
+    if q == 1.0:
+        return umegaki
+    return (term - off_support) / (q - 1.0)
+
+
+def _grid(terms, qs) -> np.ndarray:
+    """D_q for every q in ``qs`` from the terms of one pair or of a stack of
+    n pairs: an (n, len(qs)) array, n = 1 for one pair.
+
+    One product gives the sums at every q != 1; at q = 1 the sum is
+    expm1(0) = 0.  BLAS groups a product's rows by their count, so leaving
+    q = 1 out keeps every other entry bit-identical to the same grid without
+    q = 1.  ``_value`` sets only the entries that a convention decides."""
+    weight, delta, off_support = terms[:3]
+    qs = np.asarray(qs, dtype=float)
+    shift = qs - 1.0
+    generic = shift != 0.0
+    sums = np.expm1(shift[generic, None] * delta[..., None, :]) @ weight[..., None]
+    sums = sums.reshape(-1, np.count_nonzero(generic))
+    if sums.shape[1] < qs.size:
+        full = np.zeros((len(sums), qs.size))
+        full[:, generic] = sums
+        sums = full
+    table = (sums - off_support) / np.where(generic, shift, 1.0)
+    # a convention decides q = 0 and q = 1 on every member, and q > 1 on a
+    # member that violates the support condition
+    ql = qs.tolist()
+    cols = [j for j, q in enumerate(ql) if q == 0.0 or q >= 1.0]
+    if cols:
+        members = [terms[2:]] if weight.ndim == 1 else zip(
+            *(x[:, 0].tolist() for x in terms[2:])
+        )
+        for k, (off, umegaki, violation) in enumerate(members):
+            for j in cols:
+                if ql[j] <= 1.0 or violation:
+                    table[k, j] = _value(ql[j], sums[k, j], off, umegaki, violation)
+    return table
 
 
 def _relative_entropies(rho: DensityOperator, sigma: DensityOperator, qs) -> list:
     """D_q(rho|sigma) for every q in ``qs`` (q = 1: Umegaki); +inf marks a
     support violation."""
-    weight, delta, off_support, umegaki, violation = rho._paired(sigma, _pair_terms)
-
-    def value(q, term):
-        if q == 0.0:
-            return 0.0
-        if q >= 1.0 and violation:
-            return math.inf
-        if q == 1.0:
-            return umegaki
-        return (term - off_support) / (q - 1.0)
-
+    terms = rho._paired(sigma, _spectral_pair_terms)
     if len(qs) == 1:
         q = float(qs[0])
-        return [value(q, float(np.expm1((q - 1.0) * delta).dot(weight)))]
-    qs = np.asarray(qs, dtype=float)
-    terms = np.expm1(np.multiply.outer(qs - 1.0, delta)) @ weight
-    return [value(q, term) for q, term in zip(qs.tolist(), terms.tolist())]
+        weight, delta = terms[:2]
+        return [_value(q, float(np.expm1((q - 1.0) * delta).dot(weight)), *terms[2:])]
+    return _grid(terms, qs)[0].tolist()
+
+
+def _relative_entropy_table(rhos, sigmas, qs) -> np.ndarray:
+    """D_q(rho_k|sigma_k) for pairs of one dimension and every q in ``qs``:
+    an (n, len(qs)) array from the pairs' cached spectra, with the values of
+    ``_relative_entropies`` row by row."""
+
+    def stacked(ops):
+        return linalg.Spectrum(
+            np.stack([op.spectrum.eigenvalues for op in ops]),
+            np.stack([op.spectrum.eigenvectors for op in ops]),
+        )
+
+    return _grid(_pair_terms(stacked(rhos), stacked(sigmas)), qs)
 
 
 def _entropy_value(rho: DensityOperator, sigma: DensityOperator, q: float):

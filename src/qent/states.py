@@ -59,13 +59,16 @@ class DensityOperator:
     def _from_stack(cls, stack: np.ndarray) -> list:
         """One operator per member of ``stack`` (n, d, d), each with its
         ``spectrum`` already filled from one stacked ``linalg.psd_spectrum``
-        (bit-identical to computing it alone)."""
+        (bit-identical to computing it alone).  The members' matrices are
+        read-only views of one copy of the stack; that call has checked
+        every member, so ``__post_init__`` does not run again per member."""
+        stack = np.array(stack, dtype=complex)
         spec = linalg.psd_spectrum(stack)
-        _read_only(spec.eigenvalues, spec.eigenvectors)  # and so every slice
+        _read_only(stack, spec.eigenvalues, spec.eigenvectors)  # and every slice
         out = []
         for M, w, V in zip(stack, spec.eigenvalues, spec.eigenvectors):
-            rho = cls(M)
-            rho.__dict__["spectrum"] = linalg.Spectrum(w, V)
+            rho = object.__new__(cls)
+            rho.__dict__.update(matrix=M, spectrum=linalg.Spectrum(w, V))
             out.append(rho)
         return out
 

@@ -49,7 +49,8 @@ class SuiteResult:
         return not self.failures
 
     def record(self, trial: int, seed: int, margin: float, detail: str, *args) -> None:
-        """margin >= 0 means the property held with that much room.
+        """margin >= 0 means the property held with that much room; any
+        other margin, NaN included, is a failure.
 
         A failure's text is ``detail.format(*args)``, formatted only when
         the check fails.
@@ -57,7 +58,7 @@ class SuiteResult:
         self.checks += 1
         if margin < self.worst_slack:
             self.worst_slack = margin
-        if margin < 0:
+        if not margin >= 0:  # a NaN margin is a failure too
             self.failures.append(
                 PropertyFailure(self.name, trial, seed, detail.format(*args), margin)
             )
@@ -404,21 +405,26 @@ def suite_ordering(check, t, s, grid=None, tol=1e-9):
 
 def suite_werner(check, t, s, grid=None, tol=1e-10):
     """Closed forms against the matrix path on a (F, q) grid, plus the q -> 1
-    limit and the q*-match at F = 0.9.  Deterministic: one trial."""
-    qs = np.arange(0.05, 1.0, 0.05)
+    limit and the q*-match at F = 0.9.  Deterministic: one trial.
+
+    The closed forms are scalar ``math``, so the oracle shares no pow or log
+    with the numpy kernel it checks."""
+    qs = np.arange(0.05, 1.0, 0.05).tolist()
     Fs = np.linspace(0.0, 1.0, 21)
-    for F, W in zip(Fs, states.werner_states(Fs)):
-        # E_q^T(W) = D_q(W | W_A (x) W_B) on the whole q grid in one kernel call
-        values = entropy._relative_entropies(W.state, W.product, qs)
-        for q, value in zip(qs, values):
-            gap = abs(werner.werner_tsallis_closed(float(F), float(q)) - value)
-            check(tol - gap, "F={:.2f} q={:.2f} gap={:.2e}", F, q, gap)
-        em = entanglement.mutual_entropy_measure(W).value
-        gap = abs(werner.werner_tsallis_closed(float(F), 1.0 - 1e-5) - em)
-        check(1e-3 - gap, "q->1 at F={:.2f}, gap={:.2e}", F, gap)
-    report = entanglement.match_q(
-        states.werner_state(0.9), werner.werner_er_closed(0.9), tol=1e-8
+    Ws = states.werner_states(Fs)
+    # E_q^T(W) = D_q(W | W_A (x) W_B) for every W and q in one kernel call;
+    # the q = 1 column is the mutual-entropy measure
+    table = entropy._relative_entropy_table(
+        [W.state for W in Ws], [W.product for W in Ws], qs + [1.0]
     )
+    for F, row in zip(Fs.tolist(), table.tolist()):
+        for q, value in zip(qs, row):
+            gap = abs(werner.werner_tsallis_closed(F, q) - value)
+            check(tol - gap, "F={:.2f} q={:.2f} gap={:.2e}", F, q, gap)
+        gap = abs(werner.werner_tsallis_closed(F, 1.0 - 1e-5) - row[-1])
+        check(1e-3 - gap, "q->1 at F={:.2f}, gap={:.2e}", F, gap)
+    # Fs[18] == 0.9 exactly, and a stack member equals a single werner_state
+    report = entanglement.match_q(Ws[18], werner.werner_er_closed(0.9), tol=1e-8)
     check(0.40 - report.q_star, "q*={:.4f}", report.q_star)
     check(report.q_star - 0.30, "q*={:.4f}", report.q_star)
     gap = abs(

@@ -180,6 +180,15 @@ class TestVerifyCommand:
         assert code == 2
         assert err.startswith("error:") and "q-grid" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol(self, capsys, tol):
+        code, out, err = run(capsys, ["verify", "--suite", "unitary-invariance",
+                                      "--trials", "3",
+                                      f"--tol=unitary-invariance={tol}",
+                                      "--no-timestamp"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
     def test_deterministic_output(self, capsys):
         argv = ["verify", "--suite", "unitary-invariance", "--trials", "10",
                 "--seed", "3", "--no-timestamp"]

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qent import entropy, states
+from qent import entropy, linalg, states
 from qent.errors import (
     DimensionMismatchError,
     DomainError,
@@ -313,3 +313,89 @@ class TestSingleQAndGrid:
             grid = entropy._relative_entropies(rho, sigma, self.QS[1:-1])
             assert grid == pytest.approx(single[1:-1], rel=1e-14, abs=1e-14)
         assert math.isinf(single[-1])  # the violating pair at q = 2
+
+
+def _sliced_pair_terms(rho, sigma):
+    """The pair terms as built before supports became masks: each support
+    is a suffix of its sorted spectrum and is sliced out.  Kept here as the
+    reference for the masked kernel."""
+    p, U = rho.spectrum.eigenvalues, rho.spectrum.eigenvectors
+    r, V = sigma.spectrum.eigenvalues, sigma.spectrum.eigenvectors
+    i, j = (w.searchsorted(linalg.SUPPORT_TOL, "right") for w in (p, r))
+    weight = np.abs(U[:, i:].conj().T @ V) ** 2 * p[i:, None]
+    off_support = float(weight[:, :j].sum())
+    weight = weight[:, j:].ravel()
+    delta = np.subtract.outer(np.log(p[i:]), np.log(r[j:])).ravel()
+    return weight, delta, off_support, float(weight @ delta)
+
+
+def _mixed_pairs(dim):
+    """(rho, sigma, both full rank) for one dimension: a full-rank pair, a
+    rank-deficient rho, a pure rho and a sigma whose support misses rho's."""
+    full = states.random_density(dim, 700 + dim)
+    return [
+        (full, states.random_density(dim, 800 + dim), True),
+        (_low_rank(dim, max(1, dim - 1), 900 + dim), full, False),
+        (_low_rank(dim, 1, 1000 + dim), states.random_density(dim, 1100 + dim), False),
+        (full, _low_rank(dim, max(1, dim // 2), 1200 + dim), False),
+    ]
+
+
+def _close(a, b):
+    return all(
+        x == y or abs(x - y) <= 1e-14 * max(1.0, abs(y)) for x, y in zip(a, b, strict=True)
+    )
+
+
+class TestStackedKernel:
+    """One pair or a stack of pairs of any ranks through one masked kernel."""
+
+    QS = [round(0.05 * k, 2) for k in range(21)] + [1 - 1e-12, 1 + 1e-12, 1.5, 2.0]
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_table_rows_equal_per_pair_values(self, dim):
+        pairs = _mixed_pairs(dim)
+        table = entropy._relative_entropy_table(
+            [rho for rho, _, _ in pairs], [sigma for _, sigma, _ in pairs], self.QS
+        )
+        assert table.shape == (len(pairs), len(self.QS))
+        for row, (rho, sigma, full_rank) in zip(table.tolist(), pairs):
+            ref = entropy._relative_entropies(rho, sigma, self.QS)
+            assert [math.isinf(v) for v in row] == [math.isinf(v) for v in ref]
+            assert _close(row, ref)
+            if full_rank:
+                assert row == ref
+        assert math.isinf(table[3, -1]) and math.isfinite(table[3, 0])
+
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_masks_agree_with_sliced_supports(self, dim):
+        for rho, sigma, full_rank in _mixed_pairs(dim):
+            *terms, umegaki, violation = entropy._pair_terms(rho.spectrum, sigma.spectrum)
+            weight, delta, off_support, ref_umegaki = _sliced_pair_terms(rho, sigma)
+            assert violation == (off_support > entropy.SUPPORT_VIOLATION_TOL)
+            assert _close([terms[2], umegaki], [off_support, ref_umegaki])
+            for q in self.QS[1:]:
+                if q >= 1.0 and violation:
+                    continue
+                if q == 1.0:
+                    got, want = umegaki, ref_umegaki
+                else:
+                    got = float(np.expm1((q - 1) * terms[1]).dot(terms[0]))
+                    got = (got - terms[2]) / (q - 1)
+                    want = float(np.expm1((q - 1) * delta).dot(weight))
+                    want = (want - off_support) / (q - 1)
+                assert got == want if full_rank else _close([got], [want])
+
+    def test_one_pair_stack_equals_the_single_call(self):
+        for dim in (2, 5, 16):
+            for rho, sigma, _ in _mixed_pairs(dim):
+                single = entropy._pair_terms(rho.spectrum, sigma.spectrum)
+                stack = entropy._pair_terms(
+                    *(
+                        linalg.Spectrum(s.eigenvalues[None], s.eigenvectors[None])
+                        for s in (rho.spectrum, sigma.spectrum)
+                    )
+                )
+                assert np.array_equal(stack[0], single[0][None])
+                assert np.array_equal(stack[1], single[1][None])
+                assert [x.tolist() for x in stack[2:]] == [[[x]] for x in single[2:]]

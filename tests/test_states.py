@@ -1,11 +1,18 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from qent import linalg, states
 from qent.entropy import von_neumann_entropy
-from qent.errors import OutOfRangeError, ZeroVectorError
+from qent.errors import (
+    NotHermitianError,
+    NotPSDError,
+    OutOfRangeError,
+    ZeroVectorError,
+)
 
 
 class TestDensityFromPure:
@@ -94,6 +101,52 @@ class TestRandomStates:
         w1 = np.linalg.eigvalsh(rho)
         w2 = np.linalg.eigvalsh(U @ rho @ U.conj().T)
         assert np.allclose(w1, w2, atol=1e-10)
+
+
+class TestFromStack:
+    """Operators built from one validated stack, without a per-member copy."""
+
+    @staticmethod
+    def stack():
+        members = [states.random_density(3, seed).matrix for seed in range(4)]
+        return np.stack(members + [np.diag([0.0, 1.0, 0.0])])  # one pure member
+
+    def test_members_are_the_slices(self):
+        stack = self.stack()
+        members = states.DensityOperator._from_stack(stack)
+        assert len(members) == len(stack)
+        for M, rho in zip(stack, members):
+            assert type(rho) is states.DensityOperator and rho.dim == 3
+            assert np.array_equal(rho.matrix, M)
+            single = linalg.psd_spectrum(M)
+            assert np.array_equal(rho.spectrum.eigenvalues, single.eigenvalues)
+            assert np.array_equal(rho.spectrum.eigenvectors, single.eigenvectors)
+        stack[:] = 0.0  # the members hold a copy
+        assert np.array_equal(members[0].matrix, states.random_density(3, 0).matrix)
+
+    def test_read_only_as_returned_and_restored(self):
+        for rho in states.DensityOperator._from_stack(self.stack())[::2]:
+            for op in (rho, pickle.loads(pickle.dumps(rho)), copy.deepcopy(rho)):
+                assert np.array_equal(op.matrix, rho.matrix)
+                spec = op.spectrum
+                for array in (op.matrix, spec.eigenvalues, spec.eigenvectors):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[(0,) * array.ndim] = 0.0
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.diag([np.nan, 0.5, 0.5]), ValueError),
+            (np.array([[0.5, 0.5, 0], [0, 0.5, 0], [0, 0, 0]]), NotHermitianError),
+            (np.diag([1.5, -0.5, 0.0]), NotPSDError),
+        ],
+        ids=["nan", "non-hermitian", "non-psd"],
+    )
+    def test_invalid_member_raises(self, bad, error):
+        stack = self.stack()
+        stack[2] = bad
+        with pytest.raises(error):
+            states.DensityOperator._from_stack(stack)
 
 
 class TestReducedProduct:

@@ -53,6 +53,9 @@ def test_werner_suite_passes():
     assert res.passed
     # 21 F values x 19 q values, 21 q -> 1 limits, 3 q* checks
     assert res.checks == 21 * 19 + 21 + 3
+    # the closed forms against the matrix path, pinned to the bit: a change
+    # in how the kernel sums the (F, q) table shows here
+    assert res.worst_slack == 9.999727995358967e-11
 
 
 def test_determinism():
@@ -89,6 +92,16 @@ def test_record_formats_only_failures():
         "reconstruction",
     ]
     assert (res.checks, res.worst_slack) == (3, -0.5)
+
+
+def test_record_counts_nan_as_failure():
+    res = verify.SuiteResult("demo", 1)
+    res.record(0, 3, 0.25, "held")
+    res.record(0, 3, math.nan, "gap={}", math.nan)
+    assert not res.passed
+    assert [f.detail for f in res.failures] == ["gap=nan"]
+    assert math.isnan(res.failures[0].slack)
+    assert (res.checks, res.worst_slack) == (2, 0.25)
 
 
 def test_q_grid_override():
