@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from . import verify as verify_mod
@@ -44,6 +45,9 @@ EXIT_INPUT = 2
 EXIT_OPTIMIZER = 3
 EXIT_NO_ROOT = 4
 
+#: exit code per error type, first match wins; any other error is EXIT_INPUT
+_EXIT_CODES = ((NoRootError, EXIT_NO_ROOT), (OptimizerFailureError, EXIT_OPTIMIZER))
+
 
 @dataclass
 class RunReport:
@@ -51,37 +55,27 @@ class RunReport:
     inputs: dict
     results: list = field(default_factory=list)  # (label, value) pairs
     failures: list = field(default_factory=list)
-    timestamp: str | None = None
 
     def add(self, label: str, value) -> None:
         self.results.append((label, value))
 
-    def to_json(self) -> str:
-        obj = {
+    def to_dict(self) -> dict:
+        return {
             "command": self.command,
             "inputs": self.inputs,
             "results": [{"label": k, "value": v} for k, v in self.results],
             "failures": self.failures,
         }
-        if self.timestamp is not None:
-            obj["timestamp"] = self.timestamp
-        return json.dumps(obj, indent=2, default=str)
 
     def to_csv(self) -> str:
         lines = [f"{k},{_fmt(v)}" for k, v in self.results]
-        for f in self.failures:
-            lines.append(f"# failure {f}")
-        return "\n".join(lines)
+        return "\n".join(lines + [f"# failure {f}" for f in self.failures])
 
 
 def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".12g")
     return str(v)
-
-
-def _emit(report: RunReport, fmt: str) -> None:
-    print(report.to_json() if fmt == "json" else report.to_csv())
 
 
 def _default_seed() -> int:
@@ -101,46 +95,28 @@ def _load_bipartite(path) -> BipartiteState:
     return BipartiteState(DensityOperator(M), dims[0], dims[1])
 
 
-def _stamp(report: RunReport, args) -> None:
-    if not args.no_timestamp:
-        report.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-
-
 # --- subcommands -------------------------------------------------------------
+#
+# Each returns a RunReport, a JSON object (dict) or finished text, and raises
+# on error; ``main`` stamps, renders and writes the result.
 
 
-def cmd_measure(args) -> int:
-    try:
-        sigma = _load_bipartite(args.state_file)
-    except (OSError, ValueError, KeyError, QentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_measure(args) -> RunReport:
+    sigma = _load_bipartite(args.state_file)
     report = RunReport(
         "measure",
         {"state_file": args.state_file, "q": args.q, "with_er": args.with_er,
          "seed": args.seed},
     )
-    _stamp(report, args)
     report.add("S", von_neumann_entropy(sigma.state))
     report.add("E_M", mutual_entropy_measure(sigma).value)
     if args.q is not None:
-        if not 0.0 <= args.q <= 1.0:
-            print(f"error: q must lie in [0, 1], got {args.q}", file=sys.stderr)
-            return EXIT_INPUT
         report.add(f"E_T(q={args.q:g})", tsallis_measure(sigma, args.q).value)
     if args.with_er:
-        try:
-            er = relative_entropy_of_entanglement(
-                sigma, OptimizerOptions(seed=args.seed)
-            )
-        except OptimizerFailureError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_OPTIMIZER
+        er = relative_entropy_of_entanglement(sigma, OptimizerOptions(seed=args.seed))
         report.add("E_R_upper_bound", er.value)
         report.add("E_R_iterations", er.iterations)
-        report.add("E_R_converged", er.converged)
-    _emit(report, args.format)
-    return EXIT_OK
+    return report
 
 
 def _parse_sweep(spec: str):
@@ -150,14 +126,8 @@ def _parse_sweep(spec: str):
     return float(parts[0]), float(parts[1]), float(parts[2])
 
 
-def cmd_werner(args) -> int:
-    try:
-        f0, f1, step = _parse_sweep(args.sweep)
-        rows, crossings = werner_mod.werner_sweep(f0, f1, step, args.q)
-    except (ValueError, QentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+def cmd_werner(args) -> str | dict:
+    rows, crossings = werner_mod.werner_sweep(*_parse_sweep(args.sweep), args.q)
     if args.plot_data:
         lines = []
         for curve in ("e_tsallis", "e_rel", "e_mutual"):
@@ -165,9 +135,9 @@ def cmd_werner(args) -> int:
             for r in rows:
                 lines.append(f"{_fmt(r.F)} {_fmt(getattr(r, curve))}")
             lines.append("")
-        out = "\n".join(lines)
-    elif args.format == "json":
-        obj = {
+        return "\n".join(lines)
+    if args.format == "json":
+        return {
             "q": args.q,
             "rows": [
                 {"F": r.F, "e_tsallis": r.e_tsallis, "e_rel": r.e_rel,
@@ -176,66 +146,41 @@ def cmd_werner(args) -> int:
             ],
             "crossings": list(crossings.crossings),
         }
-        if not args.no_timestamp:
-            obj["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        out = json.dumps(obj, indent=2)
+    lines = ["F,e_tsallis,e_rel,e_mutual"]
+    for r in rows:
+        lines.append(
+            f"{_fmt(r.F)},{_fmt(r.e_tsallis)},{_fmt(r.e_rel)},{_fmt(r.e_mutual)}"
+        )
+    for c in crossings.crossings:
+        lines.append(f"# crossing F={_fmt(c)}")
+    return "\n".join(lines)
+
+
+def cmd_match_q(args) -> RunReport:
+    if args.werner is not None:
+        sigma = werner_state(args.werner)
+    elif args.state_file:
+        sigma = _load_bipartite(args.state_file)
     else:
-        lines = ["F,e_tsallis,e_rel,e_mutual"]
-        for r in rows:
-            lines.append(
-                f"{_fmt(r.F)},{_fmt(r.e_tsallis)},{_fmt(r.e_rel)},{_fmt(r.e_mutual)}"
-            )
-        for c in crossings.crossings:
-            lines.append(f"# crossing F={_fmt(c)}")
-        out = "\n".join(lines)
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        raise ValueError("provide a state file or --werner F")
+    if args.target_er == "closed-form":
+        if args.werner is None:
+            raise ValueError("--target-er closed-form requires --werner")
+        target = werner_mod.werner_er_closed(args.werner)
     else:
-        print(out)
-    return EXIT_OK
-
-
-def cmd_match_q(args) -> int:
-    try:
-        if args.werner is not None:
-            if not 0.0 <= args.werner <= 1.0:
-                raise ValueError(f"Werner F must lie in [0, 1], got {args.werner}")
-            sigma = werner_state(args.werner)
-        elif args.state_file:
-            sigma = _load_bipartite(args.state_file)
-        else:
-            raise ValueError("provide a state file or --werner F")
-        if args.target_er == "closed-form":
-            if args.werner is None:
-                raise ValueError("--target-er closed-form requires --werner")
-            target = werner_mod.werner_er_closed(args.werner)
-        else:
-            target = float(args.target_er)
-    except (OSError, ValueError, KeyError, QentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        result = match_q(sigma, target, tol=args.tol)
-    except NoRootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_ROOT
-
+        target = float(args.target_er)
+    result = match_q(sigma, target, tol=args.tol)
     report = RunReport(
         "match-q",
         {"state_file": args.state_file, "werner": args.werner,
          "target_er": target, "tol": args.tol},
     )
-    _stamp(report, args)
     report.add("q_star", result.q_star)
     report.add("residual", result.residual)
     report.add("boundary", result.boundary)
     for lo, hi in result.brackets:
         report.add("bracket", f"[{_fmt(lo)}, {_fmt(hi)}]")
-    _emit(report, args.format)
-    return EXIT_OK
+    return report
 
 
 def _parse_q_grid(spec):
@@ -261,25 +206,21 @@ def _parse_tol_overrides(pairs):
     return out
 
 
-def cmd_verify(args) -> int:
-    try:
-        if args.suite == "all":
-            names = list(verify_mod.SUITES)
-        else:
-            names = [s.strip() for s in args.suite.split(",")]
-        overrides = _parse_tol_overrides(args.tol)
-        unknown = [n for n in [*names, *overrides] if n not in verify_mod.SUITES]
-        if unknown:
-            raise ValueError(
-                f"unknown suite(s) {unknown}; available: "
-                + ", ".join(sorted(verify_mod.SUITES))
-            )
-        if args.trials < 1:
-            raise ValueError(f"--trials must be at least 1, got {args.trials}")
-        q_grid = _parse_q_grid(args.q_grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_verify(args) -> RunReport:
+    if args.suite == "all":
+        names = list(verify_mod.SUITES)
+    else:
+        names = [s.strip() for s in args.suite.split(",")]
+    overrides = _parse_tol_overrides(args.tol)
+    unknown = [n for n in [*names, *overrides] if n not in verify_mod.SUITES]
+    if unknown:
+        raise ValueError(
+            f"unknown suite(s) {unknown}; available: "
+            + ", ".join(sorted(verify_mod.SUITES))
+        )
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    q_grid = _parse_q_grid(args.q_grid)
 
     results = verify_mod.run_suites(
         names, args.trials, args.seed, q_grid=q_grid, tol_overrides=overrides
@@ -289,23 +230,16 @@ def cmd_verify(args) -> int:
         {"suite": args.suite, "trials": args.trials, "seed": args.seed,
          "q_grid": args.q_grid},
     )
-    _stamp(report, args)
-    violations = 0
     for res in results:
         worst = res.worst_slack if math.isfinite(res.worst_slack) else 0.0
         status = "pass" if res.passed else f"FAIL ({len(res.failures)} violations)"
-        report.add(
-            res.name,
-            f"{status}, checks={res.checks}, worst_slack={worst:.3e}",
-        )
+        report.add(res.name, f"{status}, checks={res.checks}, worst_slack={worst:.3e}")
         for f in res.failures:
-            violations += 1
             report.failures.append(
                 {"property": f.suite, "trial": f.trial, "seed": f.seed,
                  "slack": f.slack, "detail": f.detail}
             )
-    _emit(report, args.format)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return report
 
 
 # --- parser ------------------------------------------------------------------
@@ -368,8 +302,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  The only place that turns an error into an
+    ``error:`` line and its exit code, stamps JSON and writes the output."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        result = args.fn(args)
+        failed = isinstance(result, RunReport) and bool(result.failures)
+        if isinstance(result, RunReport):
+            result = result.to_csv() if args.format == "csv" else result.to_dict()
+        if isinstance(result, dict):  # a JSON object; the timestamp goes last
+            if not args.no_timestamp:
+                result["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+            result = json.dumps(result, indent=2, default=str)
+        path = getattr(args, "out", None)
+        sink = open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+        with sink as fh:
+            fh.write(result + "\n")
+    except (OSError, ValueError, KeyError, QentError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), EXIT_INPUT)
+    return EXIT_VIOLATION if failed else EXIT_OK
 
 
 if __name__ == "__main__":

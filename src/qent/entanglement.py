@@ -54,7 +54,6 @@ class SeparableDecomposition:
 class MeasureResult:
     value: float
     iterations: int = 0
-    converged: bool = True
     optimizer_state: SeparableDecomposition | None = None
 
 
@@ -95,15 +94,16 @@ def tsallis_measure(sigma: BipartiteState, q: float) -> MeasureResult:
 # --- relative entropy of entanglement ---------------------------------------
 
 
+MAX_ITER = 20000  # cap per Nelder-Mead simplex run
+STALL_TOL = 1e-8  # a run that improves the incumbent by less ends a phase
+
+
 @dataclass(frozen=True)
 class OptimizerOptions:
     restarts: int = 8
-    max_iter: int = 20000  # cap per Nelder-Mead simplex run
     explore_runs: int = 2  # simplex runs granted to every restart
     polish_runs: int = 40  # additional runs granted to the incumbent best
-    stall_tol: float = 1e-8
     seed: int = 0
-    n_terms: int | None = None  # defaults to (dA*dB)**2
 
 
 def _unpack(x: np.ndarray, n: int, dA: int, dB: int):
@@ -173,39 +173,39 @@ def _initial_points(sigma: BipartiteState, n: int, opts: OptimizerOptions):
     return points
 
 
-def _simplex_run(fun, x0, opts: OptimizerOptions):
+def _simplex_run(fun, x0):
     res = minimize(
         fun,
         x0,
         method="Nelder-Mead",
         options={
-            "maxiter": opts.max_iter,
+            "maxiter": MAX_ITER,
             "adaptive": True,
-            "fatol": opts.stall_tol,
+            "fatol": STALL_TOL,
             "xatol": 1e-9,
         },
     )
     return res.x, float(res.fun), int(res.nit)
 
 
-def _restarted_nelder_mead(fun, x0, runs: int, opts: OptimizerOptions):
+def _restarted_nelder_mead(fun, x0, runs: int):
     """Nelder-Mead re-initialized from the incumbent best after each run.
 
     A fresh simplex around the previous optimum escapes the collapsed
     simplices NM produces in high dimension.  Stops after ``runs`` runs or
-    when a full run improves the incumbent by less than ``stall_tol``.
+    when a full run improves the incumbent by less than ``STALL_TOL``.
     """
     x = np.asarray(x0, dtype=float)
     fbest = fun(x)
     used = 0
     converged = False
     for _ in range(runs):
-        xr, fr, nit = _simplex_run(fun, x, opts)
+        xr, fr, nit = _simplex_run(fun, x)
         used += nit
         gain = fbest - fr
         if fr < fbest:
             fbest, x = fr, xr
-        if gain < opts.stall_tol:
+        if gain < STALL_TOL:
             converged = True
             break
     return x, fbest, used, converged
@@ -223,7 +223,7 @@ def relative_entropy_of_entanglement(
     """
     opts = opts or OptimizerOptions()
     dA, dB, D = sigma.dA, sigma.dB, sigma.dA * sigma.dB
-    n = opts.n_terms or D * D
+    n = D * D
 
     S = sigma.matrix
     log_sigma = linalg.matrix_log(S)
@@ -243,13 +243,11 @@ def relative_entropy_of_entanglement(
     best = None
     total_iters = 0
     for x0 in _initial_points(sigma, n, opts):
-        x, f, used, _ = _restarted_nelder_mead(objective, x0, opts.explore_runs, opts)
+        x, f, used, _ = _restarted_nelder_mead(objective, x0, opts.explore_runs)
         total_iters += used
         if best is None or f < best[1]:
             best = (x, f)
-    x, f, used, converged = _restarted_nelder_mead(
-        objective, best[0], opts.polish_runs, opts
-    )
+    x, f, used, converged = _restarted_nelder_mead(objective, best[0], opts.polish_runs)
     total_iters += used
     if f > best[1]:
         x, f = best
@@ -264,7 +262,6 @@ def relative_entropy_of_entanglement(
     return MeasureResult(
         value=max(float(value), 0.0),
         iterations=total_iters,
-        converged=converged,
         optimizer_state=decomp,
     )
 

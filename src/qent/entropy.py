@@ -25,12 +25,10 @@ last sigma it was paired with (``DensityOperator._paired``: one entry,
 weakly referencing sigma), so a q grid evaluated one q per call builds them
 once.  A single q then costs one 1-D dot, expm1((q-1) Delta) . (P_ij p_i).
 A grid of q, for one pair or for a stack (``_relative_entropy_table``), is
-one expm1 and one batched matrix-vector product over its q != 1 columns;
-``_value`` sets only the entries where a convention applies.  Single-q
-values are bit-stable: the same for a pair whether its terms are fresh or
-remembered.  A grid entry may differ from the single-q value in the last
-bit, since the product sums in another order; a table row equals the
-pair's own grid.
+one expm1 and one ``vecdot``; ``_value`` sets only the entries where a
+convention applies.  Values are bit-stable: the same for a pair whether its
+terms are fresh or remembered, and a grid or table entry equals the
+single-q value, since every sum is reduced by the same dot.
 """
 
 from __future__ import annotations
@@ -142,21 +140,16 @@ def _grid(terms, qs) -> np.ndarray:
     """D_q for every q in ``qs`` from the terms of one pair or of a stack of
     n pairs: an (n, len(qs)) array, n = 1 for one pair.
 
-    One product gives the sums at every q != 1; at q = 1 the sum is
-    expm1(0) = 0.  BLAS groups a product's rows by their count, so leaving
-    q = 1 out keeps every other entry bit-identical to the same grid without
-    q = 1.  ``_value`` sets only the entries that a convention decides."""
+    Each sum is its own ``vecdot`` row, reduced by the same dot as the
+    single-q path, so an entry equals the single-q value bit for bit,
+    whatever other q the grid holds.  ``_value`` sets only the entries that
+    a convention decides."""
     weight, delta, off_support = terms[:3]
     qs = np.asarray(qs, dtype=float)
     shift = qs - 1.0
-    generic = shift != 0.0
-    sums = np.expm1(shift[generic, None] * delta[..., None, :]) @ weight[..., None]
-    sums = sums.reshape(-1, np.count_nonzero(generic))
-    if sums.shape[1] < qs.size:
-        full = np.zeros((len(sums), qs.size))
-        full[:, generic] = sums
-        sums = full
-    table = (sums - off_support) / np.where(generic, shift, 1.0)
+    summands = np.expm1(shift[:, None] * delta[..., None, :])
+    sums = np.vecdot(summands, weight[..., None, :]).reshape(-1, qs.size)
+    table = (sums - off_support) / np.where(shift != 0.0, shift, 1.0)
     # a convention decides q = 0 and q = 1 on every member, and q > 1 on a
     # member that violates the support condition
     ql = qs.tolist()

@@ -13,10 +13,6 @@ class NotPSDError(QentError):
     pass
 
 
-class NoConvergenceError(QentError):
-    pass
-
-
 class DimensionMismatchError(QentError):
     pass
 

@@ -183,18 +183,24 @@ _BELL_PROJECTORS = {
 }
 
 
+def _werner_matrix(F):
+    """F on the singlet, (1-F)/3 on each of the other three Bell projectors:
+    one matrix for a float F, a stack for F of shape (n, 1, 1)."""
+    values = np.asarray(F, dtype=float)
+    outside = values[~((0.0 <= values) & (values <= 1.0))]  # NaN included
+    if outside.size:
+        raise OutOfRangeError(f"F must lie in [0, 1], got {outside[0]}")
+    M = F * _BELL_PROJECTORS["psi-"]
+    for kind in ("psi+", "phi-", "phi+"):
+        M = M + (1.0 - F) / 3.0 * _BELL_PROJECTORS[kind]
+    return M
+
+
 def werner_states(Fs) -> list:
     """``werner_state(F)`` for every F in ``Fs``, with the spectra of the
     states and of their reduced products already computed, each family as
     one stack (one ``linalg.psd_spectrum`` call each)."""
-    F = np.asarray(Fs, dtype=float).ravel()
-    outside = F[~((0.0 <= F) & (F <= 1.0))]  # NaN included
-    if outside.size:
-        raise OutOfRangeError(f"F must lie in [0, 1], got {outside[0]}")
-    F = F[:, None, None]
-    M = F * _BELL_PROJECTORS["psi-"]
-    for kind in ("psi+", "phi-", "phi+"):
-        M = M + (1.0 - F) / 3.0 * _BELL_PROJECTORS[kind]
+    M = _werner_matrix(np.asarray(Fs, dtype=float).reshape(-1, 1, 1))
     products = linalg.kron(
         linalg.partial_trace(M, 2, 2, "A"), linalg.partial_trace(M, 2, 2, "B")
     )
@@ -209,8 +215,9 @@ def werner_states(Fs) -> list:
 
 
 def werner_state(F: float) -> BipartiteState:
-    """F on the singlet, (1-F)/3 on each of the other three Bell projectors."""
-    return werner_states((F,))[0]
+    """The Werner state at F; its spectrum and reduced product are computed
+    on first use."""
+    return BipartiteState(DensityOperator(_werner_matrix(F)), 2, 2)
 
 
 def _complex_gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -217,3 +217,48 @@ class TestSeedEnv:
         code, out, _ = run(capsys, ["measure", werner_file, "--no-timestamp"])
         assert code == 0
         assert json.loads(out)["inputs"]["seed"] == 123
+
+
+class TestRunPath:
+    """Every subcommand's errors, timestamp and output go through ``main``."""
+
+    def test_measure_q_out_of_range(self, capsys, werner_file):
+        code, out, err = run(capsys, ["measure", werner_file, "--q", "1.5"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "q must lie in [0, 1]" in err
+
+    def test_measure_missing_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["measure", str(tmp_path / "missing.json")])
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    def test_match_q_werner_out_of_range(self, capsys):
+        code, out, err = run(capsys, ["match-q", "--werner", "1.5"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "1.5" in err
+
+    def test_werner_json_timestamp(self, capsys):
+        argv = ["werner", "--sweep", "0.5:0.6:0.05", "--q", "0.35", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and "timestamp" in json.loads(out)
+        code, out, _ = run(capsys, argv + ["--no-timestamp"])
+        assert code == 0 and "timestamp" not in json.loads(out)
+        assert list(json.loads(out)) == ["q", "rows", "crossings"]
+
+    def test_werner_json_out_file(self, capsys, tmp_path):
+        dest = tmp_path / "sweep.json"
+        argv = ["werner", "--sweep", "0.5:0.6:0.05", "--q", "0.35", "--format", "json"]
+        code, out, _ = run(capsys, argv + ["--out", str(dest)])
+        assert code == 0 and out == ""
+        obj = json.loads(dest.read_text())
+        assert "timestamp" in obj and len(obj["rows"]) == 3
+        run(capsys, argv + ["--no-timestamp", "--out", str(dest)])
+        _, printed, _ = run(capsys, argv + ["--no-timestamp"])
+        assert dest.read_text() == printed
+
+    def test_unwritable_out_file(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run(capsys, ["werner", "--sweep", "0.5:0.6:0.05",
+                                      "--q", "0.35", "--out", str(dest)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "sweep.csv" in err

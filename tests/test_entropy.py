@@ -294,8 +294,8 @@ def _low_rank(dim, rank, seed):
 
 
 class TestSingleQAndGrid:
-    """One q is a 1-D dot; a grid is one matrix-vector product, whose rows may
-    differ from the one-q values in the last bit."""
+    """One q is a 1-D dot; a grid reduces each q with the same dot, so its
+    entries equal the one-q values bit for bit."""
 
     QS = [round(0.05 * k, 2) for k in range(41)]
 
@@ -311,8 +311,17 @@ class TestSingleQAndGrid:
             single = [entropy.tsallis_relative_entropy(rho, sigma, q).value for q in self.QS]
             assert single == [entropy._relative_entropies(rho, sigma, [q])[0] for q in self.QS]
             grid = entropy._relative_entropies(rho, sigma, self.QS[1:-1])
-            assert grid == pytest.approx(single[1:-1], rel=1e-14, abs=1e-14)
+            assert grid == single[1:-1]
         assert math.isinf(single[-1])  # the violating pair at q = 2
+
+    @pytest.mark.parametrize("dim", [2, 4, 9, 16])
+    def test_value_does_not_depend_on_the_other_q(self, dim):
+        qs = [round(0.05 * k, 2) for k in range(19)]
+        for rho, sigma, _ in _mixed_pairs(dim):
+            grid = entropy._relative_entropies(rho, sigma, qs)
+            for extra in ([1.0], [1.0, 1.5]):
+                longer = entropy._relative_entropies(rho, sigma, qs + extra)
+                assert longer[: len(qs)] == grid
 
 
 def _sliced_pair_terms(rho, sigma):

@@ -74,6 +74,12 @@ class TestWernerState:
         with pytest.raises(OutOfRangeError):
             states.werner_state(1.5)
 
+    def test_spectrum_and_product_computed_on_first_use(self):
+        w = states.werner_state(0.9)
+        assert "spectrum" not in w.state.__dict__ and "product" not in w.__dict__
+        w.state.spectrum
+        assert "spectrum" in w.state.__dict__ and "product" not in w.__dict__
+
 
 class TestRandomStates:
     def test_contract(self):

@@ -15,10 +15,15 @@ which evaluates the same seeded inputs and writes every output to JSON:
   and random bipartite states;
 - ``psd-spectrum``: eigenvalues and eigenvectors at d = 1..16;
 - ``suites``: ``verify.run_suites`` on the optimizer-free suites (50 trials,
-  seed 0): checks, worst slack and every failure record.
+  seed 0): checks, worst slack and every failure record;
+- ``cli``: exit code, stdout, stderr and any ``--out`` file, as text, of the
+  ``qent`` commands in ``CLI_COMMANDS`` (the README commands with short sweeps
+  and trials, and each error path), run through ``qent.cli.main`` in a
+  scratch directory that holds the state files they name.
 
 The report gives, per output group, how many values are bit-identical and the
-largest difference relative to max(1, |old|).  The exit status is 1 when a
+largest difference relative to max(1, |old|), and, per tree, how many grid
+values equal the one-q value bit for bit.  The exit status is 1 when a
 value differs by more than 1e-14 of that, when the inf/NaN pattern or any
 text differs, or when the two dumps hold different keys; else 0.
 """
@@ -26,6 +31,7 @@ text differs, or when the two dumps hold different keys; else 0.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -33,10 +39,54 @@ import subprocess
 import sys
 import tempfile
 from collections import defaultdict
+from contextlib import redirect_stderr, redirect_stdout
 
 TOL = 1e-14
 QS = [round(0.05 * k, 2) for k in range(41)] + [1 - 1e-12, 1 + 1e-12, 1 - 1e-6]
 PAIR_KINDS = ("full", "rank-deficient-rho", "pure-rho", "violation", "both-pure")
+FAST_SUITES = (
+    "linalg,state-constructors,araki-lieb,nonnegativity,unitary-invariance,"
+    "lemma-bounds,equality-condition,pseudoadditivity,q1-continuity,commuting-oracle,"
+    "monotonicity,unitary-channel,cptp-validity,product-zero,local-unitary-invariance,"
+    "local-channel-monotonicity,pure-mutual,measure-subadditivity,measure-q1-limit,werner"
+)  # every suite but the optimizer-bound ordering
+SWEEP = ["werner", "--sweep", "0.5:1.0:0.05", "--q", "0.35"]
+CLI_COMMANDS = {  # name: argv; w09.json is W_0.9, bad.json is not JSON
+    "measure": ["measure", "w09.json", "--q", "0.35", "--no-timestamp"],
+    "measure-csv": ["measure", "w09.json", "--format", "csv", "--no-timestamp"],
+    "werner-csv-out": SWEEP + ["--format", "csv", "--out", "sweep.out"],
+    "werner-plot-data": SWEEP + ["--plot-data"],
+    "werner-json": SWEEP + ["--no-timestamp"],
+    "werner-json-out": SWEEP + ["--no-timestamp", "--out", "sweep.out"],
+    "match-q-closed-form": ["match-q", "--werner", "0.9", "--target-er", "closed-form",
+                            "--no-timestamp"],
+    "match-q-file-csv": ["match-q", "w09.json", "--target-er", "0.368", "--format",
+                         "csv", "--no-timestamp"],
+    "verify-fast": ["verify", "--suite", FAST_SUITES, "--trials", "10", "--seed", "0",
+                    "--no-timestamp"],
+    "verify-two": ["verify", "--suite", "pseudoadditivity,monotonicity", "--trials",
+                   "5", "--no-timestamp", "--format", "csv"],
+    "verify-grid-tol": ["verify", "--suite", "nonnegativity", "--trials", "5",
+                        "--q-grid", "0.25,0.75,1.5", "--tol", "nonnegativity=1e-8",
+                        "--no-timestamp"],
+    "error-measure-q": ["measure", "w09.json", "--q", "1.5"],
+    "error-measure-missing": ["measure", "missing.json"],
+    "error-measure-bad-json": ["measure", "bad.json"],
+    "error-match-q-werner": ["match-q", "--werner", "1.5"],
+    "error-match-q-no-root": ["match-q", "--werner", "0.9", "--target-er", "10"],
+    "error-match-q-no-state": ["match-q"],
+    "error-match-q-closed-form": ["match-q", "w09.json"],
+    "error-werner-range": ["werner", "--sweep", "0.9:0.1:0.1", "--q", "0.35"],
+    "error-werner-spec": ["werner", "--sweep", "0.5:1.0", "--q", "0.35"],
+    "error-verify-suite": ["verify", "--suite", "nope"],
+    "error-verify-trials": ["verify", "--suite", "nonnegativity", "--trials", "0"],
+    "error-verify-grid": ["verify", "--suite", "nonnegativity", "--q-grid", "5"],
+    "error-verify-tol": ["verify", "--suite", "nonnegativity", "--tol",
+                         "nonnegativity=nan"],
+    "error-verify-tol-name": ["verify", "--suite", "nonnegativity", "--tol",
+                              "nonnegativty=1e-30"],
+    "error-usage": ["measure"],
+}
 
 
 def _num(x) -> str:
@@ -130,8 +180,46 @@ def dump(path: str) -> None:
             f"{f.trial} {f.seed} {_num(f.slack)} {f.detail}" for f in res.failures
         ]
 
+    out.update(cli_runs())
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh)
+
+
+def cli_runs() -> dict:
+    """``CLI_COMMANDS`` through ``qent.cli.main``, in a scratch directory."""
+    import numpy as np
+
+    from qent import cli
+
+    F = 0.9  # W_F = F |psi-><psi-| + (1-F)/3 (I - |psi-><psi-|), built here
+    singlet = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2
+    W = F * singlet + (1 - F) / 3 * (np.eye(4) - singlet)
+    out = {}
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("w09.json", "w", encoding="utf-8") as fh:
+                json.dump({"dims": [2, 2], "re": W.tolist(), "im": [[0.0] * 4] * 4}, fh)
+            with open("bad.json", "w", encoding="utf-8") as fh:
+                fh.write("{not json")
+            for name, argv in CLI_COMMANDS.items():
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with redirect_stdout(stdout), redirect_stderr(stderr):
+                    try:
+                        code = cli.main(list(argv))
+                    except SystemExit as exc:  # argparse usage errors
+                        code = exc.code
+                written = ""
+                if os.path.exists("sweep.out"):
+                    with open("sweep.out", encoding="utf-8") as fh:
+                        written = fh.read()
+                    os.remove("sweep.out")
+                out[f"cli/{name}"] = [f"exit={code}", stdout.getvalue(),
+                                      stderr.getvalue(), written]
+        finally:
+            os.chdir(here)
+    return out
 
 
 def run_dump(tree: str, path: str) -> None:
@@ -188,6 +276,12 @@ def compare(old: dict, new: dict) -> int:
     total = sum(r[0] for r in rows.values())
     same = sum(r[1] for r in rows.values())
     print(f"{'all':<36} {total:>8} {same:>10}")
+    for side, values in (("old", old), ("new", new)):
+        grids = [(v, values["dq-single" + k[7:]]) for k, v in values.items()
+                 if k.startswith("dq-grid/")]
+        equal = sum(x == y for grid, single in grids for x, y in zip(grid, single))
+        print(f"{side}: {equal} of {sum(len(g) for g, _ in grids)} dq-grid values"
+              " equal their dq-single value")
     return problems
 
 
