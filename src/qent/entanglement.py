@@ -281,8 +281,11 @@ def match_q(
     and refines the brackets in order with Brent's method to machine
     precision, returning the first root whose residual is within ``tol``.
     All brackets found are reported.  Raises NoRootError when no bracket
-    holds such a root (every sign change is a jump of E_q).
+    holds such a root (every sign change is a jump of E_q), DomainError
+    when ``target_er`` or ``tol`` is not finite.
     """
+    if not np.isfinite([target_er, tol]).all():
+        raise DomainError(f"target_er and tol must be finite, got {target_er}, {tol}")
     em = mutual_entropy_measure(sigma).value
     if target_er < -1e-12 or target_er > em + 1e-9:
         raise NoRootError(
@@ -292,7 +295,7 @@ def match_q(
     rho, product = sigma.state, reduced_product(sigma)
 
     def g(q):
-        return _relative_entropies(rho, product, (q,))[0] - target_er
+        return tsallis_relative_entropy(rho, product, q).value - target_er
 
     grid = np.arange(0.0, 1.0, grid_step)
     vals = np.asarray(_relative_entropies(rho, product, grid)) - target_er

@@ -23,7 +23,10 @@ Werner states holds the rank-3 W_0 and the pure W_1).
 The q-independent terms of a pair are computed once and kept on rho for the
 last sigma it was paired with (``DensityOperator._paired``: one entry,
 weakly referencing sigma), so a q grid evaluated one q per call builds them
-once.  A single q then costs one 1-D dot, expm1((q-1) Delta) . (P_ij p_i).
+once, from spectra that one stacked call computes when neither is known
+(``DensityOperator._spectra_with``: a state and its reduced product in every
+measure).  A single q then costs one frame: the remembered terms, one 1-D
+dot, expm1((q-1) Delta) . (P_ij p_i), and ``_value``.
 A grid of q, for one pair or for a stack (``_relative_entropy_table``), is
 one expm1 and one ``vecdot``; ``_value`` sets only the entries where a
 convention applies.  Values are bit-stable: the same for a pair whether its
@@ -120,8 +123,12 @@ def _pair_terms(rho: linalg.Spectrum, sigma: linalg.Spectrum) -> tuple:
 
 
 def _spectral_pair_terms(rho: DensityOperator, sigma: DensityOperator) -> tuple:
-    """The build that ``_paired`` remembers: spectra are read only on a miss."""
-    return _pair_terms(rho.spectrum, sigma.spectrum)
+    """The build that ``_paired`` remembers, so the dimensions are checked
+    and the spectra read only on a miss (both from one stacked call when
+    neither is computed yet: ``DensityOperator._spectra_with``)."""
+    if rho.dim != sigma.dim:
+        raise DimensionMismatchError(f"dims differ: {rho.dim} vs {sigma.dim}")
+    return _pair_terms(*rho._spectra_with(sigma))
 
 
 def _value(q, term, off_support, umegaki, violation):
@@ -166,14 +173,9 @@ def _grid(terms, qs) -> np.ndarray:
 
 
 def _relative_entropies(rho: DensityOperator, sigma: DensityOperator, qs) -> list:
-    """D_q(rho|sigma) for every q in ``qs`` (q = 1: Umegaki); +inf marks a
-    support violation."""
-    terms = rho._paired(sigma, _spectral_pair_terms)
-    if len(qs) == 1:
-        q = float(qs[0])
-        weight, delta = terms[:2]
-        return [_value(q, float(np.expm1((q - 1.0) * delta).dot(weight)), *terms[2:])]
-    return _grid(terms, qs)[0].tolist()
+    """D_q(rho|sigma) for every q in the grid ``qs`` (q = 1: Umegaki); +inf
+    marks a support violation."""
+    return _grid(rho._paired(sigma, _spectral_pair_terms), qs)[0].tolist()
 
 
 def _relative_entropy_table(rhos, sigmas, qs) -> np.ndarray:
@@ -190,18 +192,13 @@ def _relative_entropy_table(rhos, sigmas, qs) -> np.ndarray:
     return _grid(_pair_terms(stacked(rhos), stacked(sigmas)), qs)
 
 
-def _entropy_value(rho: DensityOperator, sigma: DensityOperator, q: float):
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"dims differ: {rho.dim} vs {sigma.dim}")
-    value = _relative_entropies(rho, sigma, (q,))[0]
-    return EntropyValue(value, q, support_violation=math.isinf(value))
-
-
 def umegaki_relative_entropy(
     rho: DensityOperator, sigma: DensityOperator
 ) -> EntropyValue:
     """U(rho|sigma) = Tr[rho (ln rho - ln sigma)]."""
-    return _entropy_value(rho, sigma, 1.0)
+    # the pair sum is not read at q = 1
+    value = _value(1.0, 0.0, *rho._paired(sigma, _spectral_pair_terms)[2:])
+    return EntropyValue(value, 1.0, support_violation=math.isinf(value))
 
 
 def tsallis_relative_entropy(
@@ -213,7 +210,10 @@ def tsallis_relative_entropy(
     """
     if not 0.0 <= q <= 2.0:
         raise DomainError(f"q must lie in [0, 2], got {q}")
-    return _entropy_value(rho, sigma, q)
+    weight, delta, off, umegaki, violation = rho._paired(sigma, _spectral_pair_terms)
+    term = float(np.expm1((q - 1.0) * delta).dot(weight))
+    value = _value(q, term, off, umegaki, violation)
+    return EntropyValue(value, q, support_violation=math.isinf(value))
 
 
 def tsallis_relative_entropy_diagonal(p, r, q: float) -> float:

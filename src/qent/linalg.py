@@ -76,22 +76,25 @@ def frobenius_norm(M: np.ndarray) -> float:
 
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonzero component is real positive."""
-    magnitude = np.abs(V)
-    nonzero = magnitude > 1e-12
-    at = nonzero.argmax(0), np.arange(V.shape[1])
-    # a column with no component above 1e-12 keeps its phase (pivot 1)
-    found = nonzero.any(0)
-    pivot = np.where(found, V[at], 1.0)
-    return V * (np.conj(pivot) / np.where(found, magnitude[at], 1.0))
+    """Rotate each column of V (..., d, d) so its first component above 1e-12
+    in modulus is real positive; a column with none keeps its phase."""
+    d = V.shape[-1]
+    first = (np.abs(V) > 1e-12).argmax(-2)
+    # one gather from the members' rows stacked as one (n * d, d) matrix
+    rows = first + np.arange(0, first.size, d).reshape(first.shape[:-1] + (1,))
+    pivot = V.reshape(-1, d)[rows, np.arange(d)]
+    size = np.abs(pivot)
+    phase = np.divide(pivot.conj(), size, out=np.ones_like(pivot), where=size > 1e-12)
+    return V * phase[..., None, :]
 
 
 def eig_hermitian(M, tol: float = HERMITICITY_TOL) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix with deterministic phases.
 
     ``M`` may also be a stack (n, d, d): the Spectrum then holds eigenvalues
-    (n, d) and eigenvectors (n, d, d) from one LAPACK call, and slice k is
-    bit-identical to ``eig_hermitian(M[k])``.
+    (n, d) and eigenvectors (n, d, d) from one LAPACK call and one phase fix
+    over the whole stack, and slice k is bit-identical to
+    ``eig_hermitian(M[k])``.
 
     Raises NotHermitianError if max |M_ij - conj(M_ji)| exceeds ``tol`` (on
     any member of a stack).
@@ -102,11 +105,7 @@ def eig_hermitian(M, tol: float = HERMITICITY_TOL) -> Spectrum:
     if defect > tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     w, V = np.linalg.eigh((M + H) / 2)
-    # every member's columns side by side, phase-fixed as one matrix
-    d = M.shape[-1]
-    fixed = _fix_phases(V.reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1))
-    fixed = np.ascontiguousarray(fixed.reshape(d, -1, d).transpose(1, 0, 2))
-    return Spectrum(eigenvalues=w, eigenvectors=fixed.reshape(V.shape))
+    return Spectrum(eigenvalues=w, eigenvectors=_fix_phases(V))
 
 
 def psd_spectrum(M) -> Spectrum:
@@ -118,8 +117,9 @@ def psd_spectrum(M) -> Spectrum:
     """
     spec = eig_hermitian(M)
     w = spec.eigenvalues
-    if w.size and w.min() < -PSD_CLIP_TOL:
-        raise NotPSDError(f"negative eigenvalue {w.min():.3e}")
+    low = min(w[..., 0].flat) if w.size else 0.0  # eigh sorts ascending
+    if low < -PSD_CLIP_TOL:
+        raise NotPSDError(f"negative eigenvalue {low:.3e}")
     return Spectrum(eigenvalues=np.maximum(w, 0.0), eigenvectors=spec.eigenvectors)
 
 

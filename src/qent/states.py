@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import json
 import weakref
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .errors import OutOfRangeError, ZeroVectorError
+from .errors import OutOfRangeError, QentError, ZeroVectorError
 
 DENSITY_TOL = 1e-9
 
@@ -45,7 +46,8 @@ class DensityOperator:
 
     @cached_property
     def spectrum(self) -> linalg.Spectrum:
-        """Validated eigendecomposition (see ``linalg.psd_spectrum``).
+        """Validated eigendecomposition (see ``linalg.psd_spectrum``), unless
+        ``_fill_spectra`` filled it with other operators' in one call.
 
         Raises NotHermitianError or NotPSDError on every access for an
         invalid matrix, since a failed computation is not cached.  Its
@@ -55,22 +57,37 @@ class DensityOperator:
         _read_only(spec.eigenvalues, spec.eigenvectors)
         return spec
 
+    @staticmethod
+    def _fill_spectra(ops, stack: np.ndarray) -> None:
+        """Fill the ``spectrum`` of ``ops``, whose matrices ``stack`` holds, from
+        one stacked ``linalg.psd_spectrum`` call; a call that raises fills nothing."""
+        spec = linalg.psd_spectrum(stack)
+        _read_only(spec.eigenvalues, spec.eigenvectors)  # and every slice
+        for op, w, V in zip(ops, spec.eigenvalues, spec.eigenvectors):
+            op.__dict__["spectrum"] = linalg.Spectrum(w, V)
+
     @classmethod
     def _from_stack(cls, stack: np.ndarray) -> list:
-        """One operator per member of ``stack`` (n, d, d), each with its
-        ``spectrum`` already filled from one stacked ``linalg.psd_spectrum``
-        (bit-identical to computing it alone).  The members' matrices are
-        read-only views of one copy of the stack; that call has checked
-        every member, so ``__post_init__`` does not run again per member."""
+        """One operator per member of ``stack`` (n, d, d): a read-only view of
+        one copy of it, with ``spectrum`` filled by ``_fill_spectra``, whose
+        checks of every member stand in for ``__post_init__``."""
         stack = np.array(stack, dtype=complex)
-        spec = linalg.psd_spectrum(stack)
-        _read_only(stack, spec.eigenvalues, spec.eigenvectors)  # and every slice
-        out = []
-        for M, w, V in zip(stack, spec.eigenvalues, spec.eigenvectors):
-            rho = object.__new__(cls)
-            rho.__dict__.update(matrix=M, spectrum=linalg.Spectrum(w, V))
-            out.append(rho)
+        _read_only(stack)  # and every slice
+        out = [object.__new__(cls) for _ in stack]
+        for rho, M in zip(out, stack):
+            rho.__dict__["matrix"] = M
+        cls._fill_spectra(out, stack)
         return out
+
+    def _spectra_with(self, other: DensityOperator) -> tuple:
+        """Both spectra, from one stacked call when neither is computed yet.
+        If that call raises, each is decomposed alone, so an invalid operator
+        raises its own error, on every access, and nothing invalid is cached."""
+        known = "spectrum" in self.__dict__ or "spectrum" in other.__dict__
+        if not (known or self is other):
+            with suppress(QentError, ValueError):  # LinAlgError is a ValueError
+                self._fill_spectra((self, other), np.array((self.matrix, other.matrix)))
+        return self.spectrum, other.spectrum
 
     def _paired(self, other: DensityOperator, build):
         """``build(self, other)``, remembered for the last ``other`` only.

@@ -82,7 +82,7 @@ def werner_sweep(F_start: float, F_end: float, step: float, q: float):
     Crossing detection and bisection run on the closed forms, which are
     exact; the optimizer plays no part here.
     """
-    if not (0.0 <= F_start < F_end <= 1.0) or step <= 0:
+    if not (0.0 <= F_start < F_end <= 1.0) or not step > 0:  # NaN included
         raise OutOfRangeError(
             f"need 0 <= F_start < F_end <= 1 and step > 0, got "
             f"({F_start}, {F_end}, {step})"

@@ -87,6 +87,11 @@ class TestWernerCommand:
         code, _, err = run(capsys, ["werner", "--sweep", "0.9:0.1:0.1", "--q", "0.35"])
         assert code == 2
 
+    def test_nan_step(self, capsys):
+        code, out, err = run(capsys, ["werner", "--sweep", "0.5:1.0:nan", "--q", "0.35",
+                                      "--format", "csv"])
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "sweep.csv"
         code, _, _ = run(capsys, ["werner", "--sweep", "0.5:0.6:0.05",
@@ -126,6 +131,13 @@ class TestMatchQCommand:
         code, _, err = run(capsys, ["match-q", "--werner", "0.9",
                                     "--target-er", "10"])
         assert code == 4
+
+    @pytest.mark.parametrize("option", ["--target-er", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input(self, capsys, option, value):
+        # "--tol=-inf": argparse reads a bare "-inf" as an option
+        code, out, err = run(capsys, ["match-q", "--werner", "0.9", f"{option}={value}"])
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_state_file(self, capsys, werner_file):
         code, out, _ = run(capsys, ["match-q", werner_file,

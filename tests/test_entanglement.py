@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from qent import entanglement, linalg, states
 from qent.entanglement import OptimizerOptions
-from qent.errors import NoRootError, NotPureError
+from qent.errors import DomainError, NoRootError, NotPureError
 from qent.werner import werner_er_closed, werner_tsallis_closed
 
 
@@ -122,6 +122,14 @@ class TestSeparableOptimizer:
 
 
 class TestMatchQ:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_or_tol(self, value):
+        W = states.werner_state(0.9)
+        with pytest.raises(DomainError):
+            entanglement.match_q(W, value)
+        with pytest.raises(DomainError):
+            entanglement.match_q(W, 0.3, tol=value)
+
     def test_target_zero(self):
         report = entanglement.match_q(states.werner_state(0.9), 0.0)
         assert report.q_star == 0.0

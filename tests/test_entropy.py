@@ -286,6 +286,77 @@ class TestPairMemo:
             assert entropy.tsallis_relative_entropy(*restored[:2], 0.4).value == value
 
 
+class TestJointDecomposition:
+    """A fresh pair is decomposed by one stacked call, with the values of
+    spectra computed one operator at a time."""
+
+    #: the property suites' grid: q in (0, 1) and (1, 2]
+    QS = [round(0.1 * k, 1) for k in range(1, 21) if k != 10]
+
+    @staticmethod
+    def fresh(rho, sigma):
+        return states.DensityOperator(rho.matrix), states.DensityOperator(sigma.matrix)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 9, 16])
+    def test_values_equal_separate_spectra(self, dim, monkeypatch):
+        for rho, sigma, _ in _mixed_pairs(dim):
+            joint, separate = self.fresh(rho, sigma), self.fresh(rho, sigma)
+            for op in separate:
+                op.spectrum
+            calls, eig = [], linalg.eig_hermitian
+
+            def counted(M):
+                calls.append(M)
+                return eig(M)
+
+            monkeypatch.setattr(linalg, "eig_hermitian", counted)
+            values = [entropy.tsallis_relative_entropy(*joint, q).value for q in self.QS]
+            values.append(entropy.umegaki_relative_entropy(*joint).value)
+            monkeypatch.undo()
+            assert len(calls) == 1 and calls[0].shape == (2, dim, dim)
+            ref = [entropy.tsallis_relative_entropy(*separate, q).value for q in self.QS]
+            ref.append(entropy.umegaki_relative_entropy(*separate).value)
+            assert values == ref
+            for a, b in zip(joint, separate):
+                assert np.array_equal(a.spectrum.eigenvalues, b.spectrum.eigenvalues)
+                assert np.array_equal(a.spectrum.eigenvectors, b.spectrum.eigenvectors)
+
+    def test_same_operator(self):
+        rho = states.random_density(3, 40)
+        assert entropy.tsallis_relative_entropy(rho, rho, 0.5).value == pytest.approx(
+            0.0, abs=1e-14
+        )
+        assert entropy.umegaki_relative_entropy(rho, rho).value == pytest.approx(
+            0.0, abs=1e-14
+        )
+
+    @pytest.mark.parametrize(
+        "M, error",
+        [
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitianError),
+            (np.diag([1.5, -0.5]), NotPSDError),
+        ],
+    )
+    def test_invalid_sigma_raises_its_own_error(self, M, error):
+        rho, sigma = states.random_density(2, 41), states.DensityOperator(M)
+        with pytest.raises(error) as alone:
+            states.DensityOperator(M).spectrum
+        for _ in range(2):
+            for call in (
+                lambda: entropy.tsallis_relative_entropy(rho, sigma, 0.5),
+                lambda: entropy.umegaki_relative_entropy(rho, sigma),
+            ):
+                with pytest.raises(error) as joint:
+                    call()
+                assert str(joint.value) == str(alone.value)
+        spec, single = rho.spectrum, linalg.psd_spectrum(rho.matrix)
+        assert np.array_equal(spec.eigenvalues, single.eigenvalues)
+        assert np.array_equal(spec.eigenvectors, single.eigenvectors)
+        for array in (spec.eigenvalues, spec.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+
 def _low_rank(dim, rank, seed):
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))

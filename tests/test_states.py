@@ -155,6 +155,81 @@ class TestFromStack:
             states.DensityOperator._from_stack(stack)
 
 
+def count_eig_calls(monkeypatch) -> list:
+    """Records the input shape of every ``linalg.eig_hermitian`` call."""
+    shapes, eig = [], linalg.eig_hermitian
+
+    def counted(M, *args, **kwargs):
+        shapes.append(np.shape(M))
+        return eig(M, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", counted)
+    return shapes
+
+
+class TestSpectraWith:
+    """Two operators decomposed by one stacked call when neither has a
+    spectrum yet, with the spectra of two separate calls."""
+
+    @staticmethod
+    def pair(dim=3):
+        return states.random_density(dim, 30), states.random_density(dim, 31)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 9, 16])
+    def test_fresh_pair_is_one_call_with_the_separate_spectra(self, dim, monkeypatch):
+        rho, sigma = self.pair(dim)
+        shapes = count_eig_calls(monkeypatch)
+        spectra = rho._spectra_with(sigma)
+        assert shapes == [(2, dim, dim)]
+        assert spectra == (rho.spectrum, sigma.spectrum)  # now cached
+        for op, spec in zip((rho, sigma), spectra):
+            single = linalg.psd_spectrum(op.matrix)
+            assert np.array_equal(spec.eigenvalues, single.eigenvalues)
+            assert np.array_equal(spec.eigenvectors, single.eigenvectors)
+            for array in (spec.eigenvalues, spec.eigenvectors):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 0.0
+
+    def test_a_cached_spectrum_leaves_the_other_alone(self, monkeypatch):
+        for first in (0, 1):
+            pair = self.pair()
+            pair[first].spectrum
+            shapes = count_eig_calls(monkeypatch)
+            pair[0]._spectra_with(pair[1])
+            assert shapes == [(3, 3)]
+            monkeypatch.undo()
+
+    def test_same_operator(self, monkeypatch):
+        rho = self.pair()[0]
+        shapes = count_eig_calls(monkeypatch)
+        assert rho._spectra_with(rho) == (rho.spectrum, rho.spectrum)
+        assert shapes == [(3, 3)]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.array([[0.5, 0.5, 0], [0, 0.5, 0], [0, 0, 0]]), NotHermitianError),
+            (np.diag([1.5, -0.5, 0.0]), NotPSDError),
+        ],
+        ids=["non-hermitian", "non-psd"],
+    )
+    def test_invalid_operator_raises_its_own_error(self, bad, error):
+        rho, sigma = self.pair()[0], states.DensityOperator(bad)
+        with pytest.raises(error) as alone:
+            states.DensityOperator(bad).spectrum
+        for pair in ((rho, sigma), (sigma, rho)):
+            for _ in range(2):
+                with pytest.raises(error) as joint:
+                    pair[0]._spectra_with(pair[1])
+                assert str(joint.value) == str(alone.value)
+                assert "spectrum" not in sigma.__dict__
+        single = linalg.psd_spectrum(rho.matrix)
+        assert np.array_equal(rho.spectrum.eigenvalues, single.eigenvalues)
+        assert np.array_equal(rho.spectrum.eigenvectors, single.eigenvectors)
+        with pytest.raises(ValueError, match="read-only"):
+            rho.spectrum.eigenvectors[0, 0] = 0.0
+
+
 class TestReducedProduct:
     def test_product_fixed_point(self):
         rho = states.random_density(2, 1).matrix

@@ -147,3 +147,8 @@ class TestSweep:
     def test_bad_range(self):
         with pytest.raises(OutOfRangeError):
             werner.werner_sweep(0.8, 0.2, 0.1, 0.35)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan])
+    def test_bad_step(self, step):
+        with pytest.raises(OutOfRangeError):
+            werner.werner_sweep(0.5, 1.0, step, 0.35)
