@@ -223,11 +223,21 @@ class TestSpectraWith:
                     pair[0]._spectra_with(pair[1])
                 assert str(joint.value) == str(alone.value)
                 assert "spectrum" not in sigma.__dict__
+        assert "spectrum" in rho.__dict__  # decomposed alone before sigma
         single = linalg.psd_spectrum(rho.matrix)
         assert np.array_equal(rho.spectrum.eigenvalues, single.eigenvalues)
         assert np.array_equal(rho.spectrum.eigenvectors, single.eigenvectors)
         with pytest.raises(ValueError, match="read-only"):
             rho.spectrum.eigenvectors[0, 0] = 0.0
+
+    def test_two_invalid_operators_raise_in_order(self):
+        # one stacked call would report the non-Hermitian member either way
+        not_psd = states.DensityOperator(np.diag([1.5, -0.5, 0.0]))
+        not_hermitian = states.DensityOperator(np.triu(np.full((3, 3), 0.5)))
+        with pytest.raises(NotPSDError):
+            not_psd._spectra_with(not_hermitian)
+        with pytest.raises(NotHermitianError):
+            not_hermitian._spectra_with(not_psd)
 
 
 class TestReducedProduct:
